@@ -16,18 +16,24 @@ round-half-up.  Records are therefore reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .grid import BinaryMask, Box, crop, rasterize_box, resize_nearest_raster
+from .grid import (
+    BinaryMask,
+    Box,
+    _nearest_indices,
+    crop,
+    rasterize_box,
+    resize_nearest_raster,
+)
 from .edt import TruncatedDistanceMap, edt_with_external_boundary, interior_mask
 from .codec import (
     BitPlaneStack,
     QuantizationScheme,
-    _disk_element,
+    _disk_sum,
     DECODE_MODES,
     encode,
     make_uniform_scheme,
@@ -73,7 +79,6 @@ class Perturbation:
     dy: int = 0
     sx: float = 1.0
     sy: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.sx <= 0 or self.sy <= 0:
@@ -192,10 +197,8 @@ def decode_to_canvas(
     num, den = spec.min_scale_fraction()
     box = spec.box
     # Inverse of the nearest-resize sampling: normalized cell -> source pixel.
-    map_x = [box.x0 + ((2 * j + 1) * box.width) // (2 * spec.norm_width)
-             for j in range(spec.norm_width)]
-    map_y = [box.y0 + ((2 * i + 1) * box.height) // (2 * spec.norm_height)
-             for i in range(spec.norm_height)]
+    map_x = box.x0 + _nearest_indices(box.width, spec.norm_width)
+    map_y = box.y0 + _nearest_indices(box.height, spec.norm_height)
     canvas = np.zeros((canvas_height, canvas_width), dtype=bool)
     for plane, bin_radius in zip(stack.planes, stack.scheme.radii):
         if bin_radius == 0:
@@ -203,19 +206,24 @@ def decode_to_canvas(
         # round-half-up of bin_radius * den / num in exact integers
         rho = (2 * bin_radius * den + num) // (2 * num)
         painted = rho - 1 if mode == "conservative" else rho
-        if painted < 0:
-            continue
-        element = _disk_element(painted)
         ys, xs = np.nonzero(plane)
-        centers = sorted({(map_y[int(i)], map_x[int(j)]) for i, j in zip(ys, xs)})
-        for cy, cx in centers:
-            y0, y1 = max(cy - painted, 0), min(cy + painted + 1, canvas_height)
-            x0, x1 = max(cx - painted, 0), min(cx + painted + 1, canvas_width)
-            if y0 >= y1 or x0 >= x1:
-                continue
-            canvas[y0:y1, x0:x1] |= element[
-                y0 - cy + painted : y1 - cy + painted,
-                x0 - cx + painted : x1 - cx + painted,
+        if painted < 0 or ys.size == 0:
+            continue
+        # Scatter the mapped centres into a local raster spanning their
+        # bounding box padded by the painted radius, so no disk is cut.
+        cy, cx = map_y[ys], map_x[xs]
+        y0, x0 = int(cy.min()) - painted, int(cx.min()) - painted
+        local = np.zeros(
+            (int(cy.max()) + painted + 1 - y0, int(cx.max()) + painted + 1 - x0),
+            dtype=bool,
+        )
+        local[cy - y0, cx - x0] = True
+        painted_local = _disk_sum(local, painted) > 0
+        cy0, cy1 = max(y0, 0), min(y0 + local.shape[0], canvas_height)
+        cx0, cx1 = max(x0, 0), min(x0 + local.shape[1], canvas_width)
+        if cy0 < cy1 and cx0 < cx1:
+            canvas[cy0:cy1, cx0:cx1] |= painted_local[
+                cy0 - y0 : cy1 - y0, cx0 - x0 : cx1 - x0
             ]
     return BinaryMask(canvas)
 
@@ -227,39 +235,34 @@ def robustness_sweep(
     scheme: QuantizationScheme | None = None,
     norm_size: tuple[int, int] | None = None,
     mode: str = "conservative",
-    threads: int = 1,
 ) -> list[RobustnessRecord]:
     """Run the encode/decode experiment under each perturbation.
 
     `norm_size` of None keeps every window at its native (unit-scale)
     resolution, under which the identity perturbation reproduces the
-    exact interior roundtrip.  Records are emitted in input order
-    regardless of `threads`.
+    exact interior roundtrip.  Records are emitted in input order.
     """
-    if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
     if scheme is None:
         scheme = make_uniform_scheme(5, 13)
     target = interior_mask(full_mask)
     height, width = full_mask.pixels.shape
 
-    def run_one(pert: Perturbation) -> RobustnessRecord:
+    records = []
+    for pert in perturbations:
         box = perturb_box(base_box, pert)
         norm_w, norm_h = norm_size if norm_size is not None else (box.width, box.height)
         spec = WindowSpec(box, norm_w, norm_h)
         stack = encode_window(full_mask, spec, scheme)
         beyond = decode_to_canvas(stack, spec, width, height, mode)
         inside = BinaryMask(beyond.pixels & rasterize_box(box, width, height).pixels)
-        return RobustnessRecord(
-            dx=pert.dx,
-            dy=pert.dy,
-            sx=pert.sx,
-            sy=pert.sy,
-            iou_beyond=mask_iou(beyond, target),
-            iou_inside=mask_iou(inside, target),
+        records.append(
+            RobustnessRecord(
+                dx=pert.dx,
+                dy=pert.dy,
+                sx=pert.sx,
+                sy=pert.sy,
+                iou_beyond=mask_iou(beyond, target),
+                iou_inside=mask_iou(inside, target),
+            )
         )
-
-    if threads == 1:
-        return [run_one(p) for p in perturbations]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_one, perturbations))
+    return records

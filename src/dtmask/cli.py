@@ -8,7 +8,6 @@ internal failure.
 
 from __future__ import annotations
 
-import os
 import statistics
 import sys
 import time
@@ -51,9 +50,6 @@ from .io import (
     write_mask,
 )
 
-THREADS_ENV_VAR = "DTMASK_THREADS"
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Effective settings of one CLI invocation, echoed into outputs."""
@@ -76,18 +72,6 @@ def _fmt(v) -> str:
 
 def _config(command: str, **settings) -> RunConfig:
     return RunConfig(command, tuple(settings.items()))
-
-
-def resolve_threads(value: str | None) -> int:
-    """Thread count from flag, DTMASK_THREADS, or 1, in that order."""
-    if value is None:
-        value = os.environ.get(THREADS_ENV_VAR) or "1"
-    if value == "auto":
-        return os.cpu_count() or 1
-    n = int(value)
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    return n
 
 
 def _parse_box(text: str) -> Box:
@@ -184,18 +168,15 @@ def cmd_boxsim(args) -> int:
     label_map = read_label_map(args.labels)
     mask = extract_instance(label_map, args.id)
     base_box = args.box
-    threads = resolve_threads(args.threads)
     perturbations = []
     for shrink in args.shrink_range:
         scale = shrink_perturbation(base_box, shrink)
         for dx in args.shift_range:
             for dy in args.shift_range:
-                perturbations.append(
-                    Perturbation(dx=dx, dy=dy, sx=scale.sx, sy=scale.sy, seed=args.seed)
-                )
+                perturbations.append(Perturbation(dx=dx, dy=dy, sx=scale.sx, sy=scale.sy))
     scheme = make_uniform_scheme(args.bins, args.radius)
     records = robustness_sweep(
-        mask, base_box, perturbations, scheme, args.norm, args.mode, threads
+        mask, base_box, perturbations, scheme, args.norm, args.mode
     )
     cfg = _config(
         "boxsim",
@@ -205,8 +186,6 @@ def cmd_boxsim(args) -> int:
         radius=args.radius,
         norm="native" if args.norm is None else f"{args.norm[0]}x{args.norm[1]}",
         mode=args.mode,
-        seed=args.seed,
-        threads=threads,
     )
     rows = [
         (r.dx, r.dy, r.sx, r.sy, r.iou_beyond, r.iou_inside) for r in records
@@ -406,8 +385,6 @@ def build_parser():
         default="native",
         help="normalized window size WxH, or 'native' for unit scale",
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", default=None, help="worker count or 'auto'")
     p.add_argument("--out", required=True, help="output records (CSV)")
     p.set_defaults(func=cmd_boxsim)
 

@@ -14,10 +14,10 @@ decoder bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 from scipy.special import expit
 
 from .grid import BinaryMask
@@ -172,13 +172,10 @@ class SoftDecodeParams:
     weight: float | tuple[float, ...] = DEFAULT_SOFT_WEIGHT
     bias: float = DEFAULT_SOFT_BIAS
     threshold: float = DEFAULT_SOFT_THRESHOLD
-    combine: str = "sum_union"
 
     def __post_init__(self):
         if not (0.0 < self.threshold < 1.0):
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if self.combine != "sum_union":
-            raise ValueError(f"unknown combine rule {self.combine!r}")
 
     def weights_for(self, bins: int) -> np.ndarray:
         if isinstance(self.weight, (int, float)):
@@ -193,6 +190,32 @@ def _disk_element(radius: int) -> np.ndarray:
     """Boolean disk structuring element: center distance <= radius."""
     d = np.arange(-radius, radius + 1, dtype=np.int64)
     return (d[:, None] ** 2 + d[None, :] ** 2) <= radius * radius
+
+
+def _disk_sum(plane: np.ndarray, radius: int) -> np.ndarray:
+    """Correlation of a plane with the radius-`radius` disk, zero outside.
+
+    The disk is the union over dy in [-r, r] of row runs of half-width
+    isqrt(r^2 - dy^2).  One row-wise prefix sum of the zero-padded plane
+    turns every run into the difference of two shifted slices, so the
+    cost grows with r rather than with the disk area.  Bool planes sum
+    in int32, scores in float64.  Radii beyond the raster diagonal are
+    clamped to it: every such disk already covers the whole raster.
+    """
+    h, w = plane.shape
+    r = min(radius, math.isqrt((h - 1) ** 2 + (w - 1) ** 2) + 1)
+    dtype = np.float64 if plane.dtype.kind == "f" else np.int32
+    # Column c + r + 1 of `prefix` sums plane columns <= c of its row.
+    prefix = np.zeros((h + 2 * r, w + 2 * r + 1), dtype=dtype)
+    prefix[r : r + h, r + 1 : r + 1 + w] = plane
+    np.cumsum(prefix, axis=1, out=prefix)
+    out = np.zeros((h, w), dtype=dtype)
+    for dy in range(-r, r + 1):
+        half = math.isqrt(r * r - dy * dy)
+        rows = prefix[r + dy : r + dy + h]
+        out += rows[:, r + half + 1 : r + half + 1 + w]
+        out -= rows[:, r - half : r - half + w]
+    return out
 
 
 def _painted_radius(bin_radius: int, mode: str) -> int | None:
@@ -227,10 +250,11 @@ def encode(dmap: TruncatedDistanceMap, scheme: QuantizationScheme) -> BitPlaneSt
 
 
 def hard_decode(stack: BitPlaneStack, mode: str = "conservative") -> BinaryMask:
-    """Union-of-disks reconstruction via per-plane dilation.
+    """Union-of-disks reconstruction via per-plane disk sums.
 
-    Each plane is dilated with a disk structuring element of its painted
-    radius and the results are OR-ed.  Requires a one-hot stack.
+    A pixel is painted when some set bit of a plane lies within that
+    plane's painted radius, and the planes are OR-ed.  Requires a
+    one-hot stack.
     """
     if not stack.is_one_hot():
         raise ValueError("stack is not one-hot; every pixel needs exactly one set bit")
@@ -239,7 +263,7 @@ def hard_decode(stack: BitPlaneStack, mode: str = "conservative") -> BinaryMask:
         painted = _painted_radius(bin_radius, mode)
         if painted is None or not plane.any():
             continue
-        out |= ndimage.binary_dilation(plane, structure=_disk_element(painted))
+        out |= _disk_sum(plane, painted) > 0
     return BinaryMask(out)
 
 
@@ -290,8 +314,7 @@ def soft_decode(
         painted = _painted_radius(bin_radius, mode)
         if painted is None:
             continue
-        kernel = _disk_element(painted).astype(np.float64)
-        total += w * ndimage.correlate(plane, kernel, mode="constant", cval=0.0)
+        total += w * _disk_sum(plane, painted)
     return BinaryMask(expit(total) >= params.threshold)
 
 
@@ -307,19 +330,3 @@ def corrupt(stack: BitPlaneStack, flip_prob: float, seed: int) -> ProbPlaneStack
     rng = np.random.default_rng(seed)
     flips = rng.random(stack.planes.shape) < flip_prob
     return ProbPlaneStack((stack.planes ^ flips).astype(np.float64), stack.scheme)
-
-
-def upsample(stack: ProbPlaneStack, factor: int) -> ProbPlaneStack:
-    """Integer-factor nearest upsampling of every plane.
-
-    Bin radii and the radius cap scale by the same factor, so painted
-    disks keep their physical size on the finer grid.
-    """
-    if factor < 1:
-        raise ValueError(f"upsample factor must be >= 1, got {factor}")
-    planes = np.repeat(np.repeat(stack.planes, factor, axis=1), factor, axis=2)
-    s = stack.scheme
-    scheme = QuantizationScheme(
-        s.bins, s.radius_cap * factor, tuple(r * factor for r in s.radii)
-    )
-    return ProbPlaneStack(planes, scheme)

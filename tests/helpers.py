@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy import ndimage
+from scipy.special import expit
 
-from dtmask import BinaryMask, Box, QuantizationScheme, BitPlaneStack
+from dtmask import BinaryMask, Box, QuantizationScheme, BitPlaneStack, SoftDecodeParams
+from dtmask.codec import _disk_element, _painted_radius
 
 
 def disk_raster(h, w, cy, cx, r):
@@ -83,3 +86,51 @@ def tight_box(mask: BinaryMask) -> Box:
     """Bounding box of the object pixels (half-open)."""
     ys, xs = np.nonzero(mask.pixels)
     return Box(int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
+
+
+def soft_decode_oracle(stack, params=None, mode="conservative") -> BinaryMask:
+    """Reference soft decode: direct 2-D correlation with each disk kernel."""
+    if params is None:
+        params = SoftDecodeParams()
+    weights = params.weights_for(stack.scheme.bins)
+    total = np.full((stack.height, stack.width), params.bias, dtype=np.float64)
+    for plane, bin_radius, w in zip(stack.planes, stack.scheme.radii, weights):
+        painted = _painted_radius(bin_radius, mode)
+        if painted is None:
+            continue
+        kernel = _disk_element(painted).astype(np.float64)
+        total += w * ndimage.correlate(plane, kernel, mode="constant", cval=0.0)
+    return BinaryMask(expit(total) >= params.threshold)
+
+
+def decode_to_canvas_oracle(
+    stack, spec, canvas_width, canvas_height, mode="conservative"
+) -> BinaryMask:
+    """Reference canvas decode: stamp a clipped disk at every mapped centre."""
+    num, den = spec.min_scale_fraction()
+    box = spec.box
+    map_x = [box.x0 + ((2 * j + 1) * box.width) // (2 * spec.norm_width)
+             for j in range(spec.norm_width)]
+    map_y = [box.y0 + ((2 * i + 1) * box.height) // (2 * spec.norm_height)
+             for i in range(spec.norm_height)]
+    canvas = np.zeros((canvas_height, canvas_width), dtype=bool)
+    for plane, bin_radius in zip(stack.planes, stack.scheme.radii):
+        if bin_radius == 0:
+            continue
+        rho = (2 * bin_radius * den + num) // (2 * num)
+        painted = rho - 1 if mode == "conservative" else rho
+        if painted < 0:
+            continue
+        element = _disk_element(painted)
+        ys, xs = np.nonzero(plane)
+        centers = sorted({(map_y[int(i)], map_x[int(j)]) for i, j in zip(ys, xs)})
+        for cy, cx in centers:
+            y0, y1 = max(cy - painted, 0), min(cy + painted + 1, canvas_height)
+            x0, x1 = max(cx - painted, 0), min(cx + painted + 1, canvas_width)
+            if y0 >= y1 or x0 >= x1:
+                continue
+            canvas[y0:y1, x0:x1] |= element[
+                y0 - cy + painted : y1 - cy + painted,
+                x0 - cx + painted : x1 - cx + painted,
+            ]
+    return BinaryMask(canvas)

@@ -17,7 +17,7 @@ from dtmask import (
     write_mask,
     write_proposals,
 )
-from dtmask.cli import main, resolve_threads
+from dtmask.cli import main
 
 from helpers import disk_raster
 
@@ -150,6 +150,15 @@ class TestSoftDecode:
         assert run("softdecode", "--in", bps, "--out", out) == 2
         assert run("softdecode", "--in", bps, "--lax", "--out", out) == 0
 
+    def test_radius_beyond_diagonal_paints_everything(self, tmp_path):
+        # a huge bin radius must not size any allocation
+        bps = tmp_path / "huge.bps"
+        bps.write_text("BPS 2 2 2 0 100000\n0 1\n1 1\n1 0\n0 0\n")
+        for command in ("decode", "softdecode"):
+            out = tmp_path / f"{command}.pbm"
+            assert run(command, "--in", bps, "--out", out) == 0
+            assert read_mask(out).pixels.all()
+
     def test_bad_threshold(self, tmp_path, disk_pbm):
         bps = tmp_path / "d.bps"
         run("encode", "--in", disk_pbm, "--out", bps)
@@ -193,24 +202,6 @@ class TestBoxsim:
         )
         assert code == 0
         assert data_lines(out)[1].endswith(",0.0,0.0")
-
-    def test_threads_do_not_change_rows(self, tmp_path, disk_pgm):
-        outs = [tmp_path / f"t{k}.csv" for k in (1, 2)]
-        for k, out in zip((1, 2), outs):
-            assert run(
-                "boxsim", "--labels", disk_pgm, "--id", 1, "--box", "4,4,28,28",
-                "--shrink-range", "0:4:1", "--threads", k, "--out", out,
-            ) == 0
-        assert data_lines(outs[0]) == data_lines(outs[1])
-
-    def test_threads_env_var(self, tmp_path, disk_pgm, monkeypatch):
-        monkeypatch.setenv("DTMASK_THREADS", "2")
-        out = tmp_path / "sweep.csv"
-        assert run(
-            "boxsim", "--labels", disk_pgm, "--id", 1,
-            "--box", "4,4,28,28", "--out", out,
-        ) == 0
-        assert "threads=2" in comment_lines(out)[1]
 
     def test_normalized_window(self, tmp_path, disk_pgm):
         out = tmp_path / "sweep.csv"
@@ -359,24 +350,6 @@ class TestExitCodes:
             "--shrink-range", "0:4:0", "--out", tmp_path / "o.csv",
         )
         assert code == 2
-
-
-class TestResolveThreads:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("DTMASK_THREADS", raising=False)
-        assert resolve_threads(None) == 1
-
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("DTMASK_THREADS", "4")
-        assert resolve_threads("2") == 2
-        assert resolve_threads(None) == 4
-
-    def test_auto(self):
-        assert resolve_threads("auto") >= 1
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            resolve_threads("0")
 
 
 def test_console_script_is_installed():

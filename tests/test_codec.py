@@ -17,10 +17,15 @@ from dtmask import (
     make_uniform_scheme,
     soft_decode,
     truncated_edt,
-    upsample,
 )
 
-from helpers import random_mask, random_one_hot, random_scheme, ring_mask
+from helpers import (
+    random_mask,
+    random_one_hot,
+    random_scheme,
+    ring_mask,
+    soft_decode_oracle,
+)
 
 
 class TestQuantizationScheme:
@@ -189,7 +194,7 @@ class TestHardDecode:
     def test_matches_oracle_on_random_stacks(self):
         rng = np.random.default_rng(53)
         for _ in range(200):
-            stack = random_one_hot(rng, random_scheme(rng), max_size=28)
+            stack = random_one_hot(rng, random_scheme(rng), min_size=1, max_size=28)
             for mode in ("conservative", "literal"):
                 fast = hard_decode(stack, mode)
                 ref = hard_decode_oracle(stack, mode)
@@ -266,6 +271,23 @@ class TestSoftDecode:
                     hard_decode(stack, mode).pixels,
                 )
 
+    def test_matches_oracle_on_fractional_scores(self):
+        rng = np.random.default_rng(67)
+        for _ in range(200):
+            scheme = random_scheme(rng)
+            h, w = (int(v) for v in rng.integers(1, 25, size=2))
+            prob = ProbPlaneStack(rng.random((scheme.bins, h, w)), scheme)
+            params = SoftDecodeParams(
+                weight=tuple(float(v) for v in rng.uniform(-2.0, 6.0, scheme.bins)),
+                bias=float(rng.uniform(-8.0, 0.0)),
+                threshold=float(rng.uniform(0.05, 0.95)),
+            )
+            for mode in ("conservative", "literal"):
+                assert np.array_equal(
+                    soft_decode(prob, params, mode).pixels,
+                    soft_decode_oracle(prob, params, mode).pixels,
+                )
+
     def test_all_zero_planes_decode_empty(self):
         scheme = make_uniform_scheme(3, 5)
         prob = ProbPlaneStack(np.zeros((3, 6, 6)), scheme)
@@ -276,8 +298,6 @@ class TestSoftDecode:
             SoftDecodeParams(threshold=0.0)
         with pytest.raises(ValueError):
             SoftDecodeParams(threshold=1.0)
-        with pytest.raises(ValueError):
-            SoftDecodeParams(combine="max_union")
 
     def test_per_bin_weights(self):
         scheme = QuantizationScheme(2, 2, (0, 2))
@@ -325,32 +345,6 @@ class TestCorrupt:
             corrupt(stack, -0.1, 0)
         with pytest.raises(ValueError):
             corrupt(stack, 1.1, 0)
-
-
-class TestUpsample:
-    def test_block_replication_and_scaled_radii(self):
-        scheme = make_uniform_scheme(3, 5)
-        planes = np.zeros((3, 2, 2))
-        planes[2, 0, 1] = 0.75
-        prob = ProbPlaneStack(planes, scheme)
-        up = upsample(prob, 3)
-        assert up.planes.shape == (3, 6, 6)
-        assert (up.planes[2, 0:3, 3:6] == 0.75).all()
-        assert up.scheme.radii == tuple(r * 3 for r in scheme.radii)
-        assert up.scheme.radius_cap == 15
-
-    def test_factor_one_is_identity(self):
-        scheme = make_uniform_scheme(2, 4)
-        prob = ProbPlaneStack(np.zeros((2, 3, 3)), scheme)
-        up = upsample(prob, 1)
-        assert np.array_equal(up.planes, prob.planes)
-        assert up.scheme == scheme
-
-    def test_factor_validated(self):
-        scheme = make_uniform_scheme(2, 4)
-        prob = ProbPlaneStack(np.zeros((2, 3, 3)), scheme)
-        with pytest.raises(ValueError):
-            upsample(prob, 0)
 
 
 def test_stack_plane_count_must_match_scheme():
