@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Labels are stored as int32; larger values would wrap and merge instances.
+MAX_LABEL = int(np.iinfo(np.int32).max)
+
 
 def _frozen_raster(values, dtype) -> np.ndarray:
     """Copy `values` into a read-only 2-D array of `dtype`."""
@@ -57,10 +60,12 @@ class LabelMap:
     labels: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_raster(self.labels, np.int32)
+        arr = _frozen_raster(self.labels, np.int64)
         if (arr < 0).any():
             raise ValueError("labels must be non-negative")
-        object.__setattr__(self, "labels", arr)
+        if (arr > MAX_LABEL).any():
+            raise ValueError(f"labels must not exceed {MAX_LABEL}")
+        object.__setattr__(self, "labels", _frozen_raster(arr, np.int32))
 
     @property
     def height(self) -> int:
@@ -134,12 +139,15 @@ class BoxProposal:
             if (self.mask.height, self.mask.width) != (self.box.height, self.box.width):
                 raise ValueError("box-anchored mask must match the box extent")
 
-    def canvas_mask(self, width: int, height: int) -> BinaryMask:
-        """Materialize the proposal mask on a width x height canvas.
+    def canvas_window(self, width: int, height: int) -> tuple[int, int, np.ndarray]:
+        """The part of the proposal mask that lies on a width x height canvas.
 
-        Canvas-anchored masks must already match the canvas shape.
-        Box-anchored masks are pasted at the box position and clipped.
-        Raises ValueError when the proposal carries no mask.
+        Returns (x, y, pixels): the canvas position of the window's
+        top-left pixel and a read-only view of the mask pixels there.  A
+        box-anchored mask is clipped to the canvas without building one;
+        a box entirely off the canvas gives an empty 0 x 0 window at
+        (0, 0).  Canvas-anchored masks must already match the canvas
+        shape.  Raises ValueError when the proposal carries no mask.
         """
         if self.mask is None:
             raise ValueError("proposal has no mask")
@@ -150,15 +158,28 @@ class BoxProposal:
                     f"{self.mask.width}x{self.mask.height} does not match "
                     f"canvas {width}x{height}"
                 )
-            return self.mask
-        out = np.zeros((height, width), dtype=bool)
+            return 0, 0, self.mask.pixels
         b = self.box
         gx0, gx1 = max(b.x0, 0), min(b.x1, width)
         gy0, gy1 = max(b.y0, 0), min(b.y1, height)
-        if gx0 < gx1 and gy0 < gy1:
-            out[gy0:gy1, gx0:gx1] = self.mask.pixels[
-                gy0 - b.y0 : gy1 - b.y0, gx0 - b.x0 : gx1 - b.x0
-            ]
+        if gx0 >= gx1 or gy0 >= gy1:
+            return 0, 0, self.mask.pixels[:0, :0]
+        return gx0, gy0, self.mask.pixels[
+            gy0 - b.y0 : gy1 - b.y0, gx0 - b.x0 : gx1 - b.x0
+        ]
+
+    def canvas_mask(self, width: int, height: int) -> BinaryMask:
+        """Materialize the proposal mask on a width x height canvas.
+
+        Canvas-anchored masks must already match the canvas shape.
+        Box-anchored masks are pasted at the box position and clipped.
+        Raises ValueError when the proposal carries no mask.
+        """
+        x, y, window = self.canvas_window(width, height)
+        if self.mask_anchor == "canvas":
+            return self.mask  # canvas_window checked that it fits the canvas
+        out = np.zeros((height, width), dtype=bool)
+        out[y : y + window.shape[0], x : x + window.shape[1]] = window
         return BinaryMask(out)
 
 

@@ -20,7 +20,7 @@ import os
 
 import numpy as np
 
-from .grid import BinaryMask, Box, BoxProposal, LabelMap
+from .grid import MAX_LABEL, BinaryMask, Box, BoxProposal, LabelMap
 from .edt import TruncatedDistanceMap
 from .codec import BitPlaneStack, QuantizationScheme
 
@@ -107,14 +107,20 @@ def read_label_map(path) -> LabelMap:
     body = tokens[4:]
     if len(body) != w * h:
         raise FormatError(f"expected {w * h} label values, found {len(body)}")
-    labels = np.empty(w * h, dtype=np.int64)
-    for k, tok in enumerate(body):
-        labels[k] = _int_token(body, k, "label value")
+    try:
+        labels = np.fromiter(map(int, body), np.int64, len(body))
+    except (ValueError, OverflowError):
+        # Rescan to name the bad token; a value beyond int64 stays a Python
+        # int and fails a range check below.
+        labels = np.array(
+            [_int_token(body, k, "label value") for k in range(len(body))], dtype=object
+        )
     if (labels < 0).any():
         raise FormatError("negative label value")
-    if (labels > maxval).any():
-        bad = int(labels[labels > maxval][0])
-        raise FormatError(f"label value {bad} exceeds declared maxval {maxval}")
+    for limit, name in ((maxval, "declared maxval"), (MAX_LABEL, "the int32 limit")):
+        if (labels > limit).any():
+            bad = int(labels[labels > limit][0])
+            raise FormatError(f"label value {bad} exceeds {name} {limit}")
     return LabelMap(labels.reshape(h, w))
 
 

@@ -6,12 +6,19 @@ unclaimed ground truth of highest IoU at or above the threshold, ties
 going to the lowest ground-truth index.  Everything downstream (recall
 curves, average recall, average precision) reuses that single matcher,
 so the metrics are mutually consistent and fully deterministic.
+
+Mask IoUs are computed sparsely, after COCO's RLE `maskUtils.iou`: each
+mask is held once in local form (its tight bounding box clipped to the
+canvas, the raster inside that box, and its pixel count), and pixels
+are intersected only for pairs whose boxes overlap.  No full-canvas
+mask is built for a box-anchored proposal.  The result equals
+`mask_iou` of the full-canvas masks exactly, cell by cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,14 +85,74 @@ def _canvas_shape(gts: Sequence[BinaryMask]) -> tuple[int, int]:
     return shape
 
 
-def _iou_matrix(proposals, gts) -> np.ndarray:
-    h, w = _canvas_shape(gts)
-    out = np.zeros((len(proposals), len(gts)))
-    for i, p in enumerate(proposals):
-        pm = p.canvas_mask(w, h)
-        for j, g in enumerate(gts):
-            out[i, j] = mask_iou(pm, g)
+class _LocalMasks(NamedTuple):
+    """Masks on one canvas, each kept only inside its tight bounding box.
+
+    `boxes` rows are half-open (x0, y0, x1, y1) canvas extents, (0, 0,
+    0, 0) for an empty mask; `rasters` holds each mask's pixels inside
+    its box; `areas` counts its object pixels.
+    """
+
+    boxes: np.ndarray
+    rasters: np.ndarray
+    areas: np.ndarray
+
+    def take(self, idx) -> "_LocalMasks":
+        return _LocalMasks(self.boxes[idx], self.rasters[idx], self.areas[idx])
+
+
+def _local_masks(windows) -> _LocalMasks:
+    """Local form of (x, y, pixels) canvas windows, cropped to the pixels set."""
+    windows = list(windows)
+    boxes = np.zeros((len(windows), 4), dtype=np.int64)
+    rasters = np.empty(len(windows), dtype=object)
+    areas = np.zeros(len(windows), dtype=np.int64)
+    for k, (x, y, pixels) in enumerate(windows):
+        rows = np.flatnonzero(pixels.any(axis=1))
+        cols = np.flatnonzero(pixels.any(axis=0))
+        if rows.size == 0:
+            rasters[k] = pixels[:0, :0]
+            continue
+        y0, y1, x0, x1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+        boxes[k] = (x + x0, y + y0, x + x1, y + y1)
+        rasters[k] = pixels[y0:y1, x0:x1]
+        areas[k] = np.count_nonzero(rasters[k])
+    return _LocalMasks(boxes, rasters, areas)
+
+
+def _proposal_masks(proposals: Sequence[BoxProposal], width: int, height: int) -> _LocalMasks:
+    return _local_masks(p.canvas_window(width, height) for p in proposals)
+
+
+def _iou_matrix(a: _LocalMasks, b: _LocalMasks) -> np.ndarray:
+    """Mask IoU of every mask in `a` with every mask in `b`.
+
+    Pixels are intersected only where bounding boxes overlap; every cell
+    equals `mask_iou` of the two full-canvas masks exactly, including 1.0
+    for two empty masks.
+    """
+    out = np.where(a.areas[:, None] + b.areas[None, :] == 0, 1.0, 0.0)
+    lo = np.maximum(a.boxes[:, None, :2], b.boxes[None, :, :2])
+    hi = np.minimum(a.boxes[:, None, 2:], b.boxes[None, :, 2:])
+    for i, j in zip(*np.nonzero((lo < hi).all(axis=2))):
+        (x0, y0), (x1, y1) = lo[i, j], hi[i, j]
+        ax, ay = a.boxes[i, :2]
+        bx, by = b.boxes[j, :2]
+        inter = int(np.count_nonzero(
+            a.rasters[i][y0 - ay : y1 - ay, x0 - ax : x1 - ax]
+            & b.rasters[j][y0 - by : y1 - by, x0 - bx : x1 - bx]
+        ))
+        out[i, j] = inter / (int(a.areas[i]) + int(b.areas[j]) - inter)
     return out
+
+
+def _proposal_gt_matrix(
+    proposals: Sequence[BoxProposal], gts: Sequence[BinaryMask]
+) -> np.ndarray:
+    h, w = _canvas_shape(gts)
+    return _iou_matrix(
+        _proposal_masks(proposals, w, h), _local_masks((0, 0, g.pixels) for g in gts)
+    )
 
 
 def _greedy_pairs(
@@ -93,7 +160,11 @@ def _greedy_pairs(
 ) -> list[tuple[int, int, float]]:
     pairs = []
     taken = np.zeros(iou_mat.shape[1], dtype=bool)
+    # A row whose best IoU is below the threshold cannot claim anything.
+    row_best = iou_mat.max(axis=1, initial=-1.0)
     for i in order:
+        if row_best[i] < iou_thresh:
+            continue
         if taken.all():
             break
         row = np.where(taken, -1.0, iou_mat[i])
@@ -104,11 +175,51 @@ def _greedy_pairs(
     return pairs
 
 
+def _check_ascending(thresholds: Sequence[float]) -> None:
+    if any(b < a for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError("thresholds must be sorted ascending")
+
+
+def _check_budget(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"proposal budget must be >= 1, got {n}")
+
+
+def _recall_curve(
+    iou_mat: np.ndarray, order: Sequence[int], thresholds: Sequence[float]
+) -> list[tuple[float, float]]:
+    n_gt = iou_mat.shape[1]
+    return [(float(t), len(_greedy_pairs(iou_mat, order, t)) / n_gt) for t in thresholds]
+
+
+def _average_recall(iou_mat: np.ndarray, order: Sequence[int], n: int) -> float:
+    curve = _recall_curve(iou_mat, order[:n], AR_IOU_THRESHOLDS)
+    return sum(r for _, r in curve) / len(curve)
+
+
+def _average_precision(
+    iou_mat: np.ndarray, order: Sequence[int], iou_thresh: float
+) -> float:
+    if not order:
+        return 0.0
+    matched = {i for i, _, _ in _greedy_pairs(iou_mat, order, iou_thresh)}
+    tp = np.array([1.0 if i in matched else 0.0 for i in order])
+    tp_cum = tp.cumsum()
+    precision = tp_cum / np.arange(1, len(order) + 1)
+    recall = tp_cum / iou_mat.shape[1]
+    mrec = np.concatenate(([0.0], recall, [recall[-1]]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    for k in range(len(mpre) - 2, -1, -1):
+        mpre[k] = max(mpre[k], mpre[k + 1])
+    steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
+    return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
+
+
 def greedy_match(
     proposals: Sequence[BoxProposal], gts: Sequence[BinaryMask], iou_thresh: float
 ) -> MatchResult:
     """Match proposals to ground truths by mask IoU, greedily by score."""
-    mat = _iou_matrix(proposals, gts)
+    mat = _proposal_gt_matrix(proposals, gts)
     pairs = _greedy_pairs(mat, _score_order(proposals), iou_thresh)
     matched = {j for _, j, _ in pairs}
     unmatched = tuple(j for j in range(len(gts)) if j not in matched)
@@ -125,21 +236,14 @@ def recall_curve(
     Thresholds must be sorted ascending; recall is then non-increasing
     along the curve.
     """
-    if any(b < a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be sorted ascending")
-    mat = _iou_matrix(proposals, gts)
-    order = _score_order(proposals)
-    out = []
-    for t in thresholds:
-        matched = len(_greedy_pairs(mat, order, t))
-        out.append((float(t), matched / len(gts)))
-    return out
+    _check_ascending(thresholds)
+    mat = _proposal_gt_matrix(proposals, gts)
+    return _recall_curve(mat, _score_order(proposals), thresholds)
 
 
 def top_scoring(proposals: Sequence[BoxProposal], n: int) -> list[BoxProposal]:
     """The n highest-scoring proposals, score ties by input order."""
-    if n < 1:
-        raise ValueError(f"proposal budget must be >= 1, got {n}")
+    _check_budget(n)
     return [proposals[i] for i in _score_order(proposals)[:n]]
 
 
@@ -154,16 +258,15 @@ def average_recall(
     `area_range` optionally restricts ground truths to pixel areas in
     [lo, hi); an empty selection is an error rather than a silent 0.
     """
-    if n < 1:
-        raise ValueError(f"proposal budget must be >= 1, got {n}")
+    _check_budget(n)
     _canvas_shape(gts)
     if area_range is not None:
         lo, hi = area_range
         gts = [g for g in gts if lo <= g.area < hi]
         if not gts:
             raise ValueError(f"no ground truths with area in [{lo}, {hi})")
-    curve = recall_curve(top_scoring(proposals, n), gts, AR_IOU_THRESHOLDS)
-    return sum(r for _, r in curve) / len(curve)
+    mat = _proposal_gt_matrix(proposals, gts)
+    return _average_recall(mat, _score_order(proposals), n)
 
 
 def average_precision(
@@ -175,23 +278,23 @@ def average_precision(
     greedy matcher pairs it with a ground truth at `iou_thresh`.  All
     recall points contribute (all-points interpolation).
     """
-    _canvas_shape(gts)
-    if not proposals:
-        return 0.0
-    mat = _iou_matrix(proposals, gts)
-    order = _score_order(proposals)
-    rank_of = {i: r for r, i in enumerate(order)}
-    matched_ranks = {rank_of[i] for i, _, _ in _greedy_pairs(mat, order, iou_thresh)}
-    tp = np.array([1.0 if r in matched_ranks else 0.0 for r in range(len(order))])
-    tp_cum = tp.cumsum()
-    precision = tp_cum / np.arange(1, len(order) + 1)
-    recall = tp_cum / len(gts)
-    mrec = np.concatenate(([0.0], recall, [recall[-1]]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for k in range(len(mpre) - 2, -1, -1):
-        mpre[k] = max(mpre[k], mpre[k + 1])
-    steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
-    return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
+    mat = _proposal_gt_matrix(proposals, gts)
+    return _average_precision(mat, _score_order(proposals), iou_thresh)
+
+
+# Below this coordinate magnitude box areas and unions stay under 2**53,
+# so int64 products and float64 division reproduce `box_iou` exactly.
+_EXACT_BOX_COORD = 2**25
+
+
+def _box_iou_row(boxes: np.ndarray, i: int, others: np.ndarray) -> np.ndarray:
+    """`box_iou` of box `i` with each box in `others`, as one vector."""
+    x0, y0, x1, y1 = boxes[i]
+    ox0, oy0, ox1, oy1 = boxes[others].T
+    iw = np.maximum(np.minimum(x1, ox1) - np.maximum(x0, ox0), 0)
+    ih = np.maximum(np.minimum(y1, oy1) - np.maximum(y0, oy0), 0)
+    inter = iw * ih
+    return inter / ((x1 - x0) * (y1 - y0) + (ox1 - ox0) * (oy1 - oy0) - inter)
 
 
 def nms(
@@ -205,22 +308,31 @@ def nms(
     A proposal is suppressed when its overlap with an already kept one
     exceeds `iou_thresh` (strictly).  Overlap is box IoU, or mask IoU
     when `use_masks` is set; mask NMS needs `canvas_size` = (width,
-    height) to materialize box-anchored masks.  Output preserves score
-    order.
+    height) to place box-anchored masks.  Output preserves score
+    order.  Each kept proposal suppresses the later ones it overlaps,
+    which keeps the same set as checking each proposal against every
+    kept one, because both overlaps are symmetric.
     """
-    order = _score_order(proposals)
+    order = np.array(_score_order(proposals), dtype=np.intp)
     if use_masks:
         if canvas_size is None:
             raise ValueError("mask NMS needs canvas_size=(width, height)")
-        w, h = canvas_size
-        masks = [p.canvas_mask(w, h) for p in proposals]
-        overlap = lambda i, j: mask_iou(masks[i], masks[j])
+        local = _proposal_masks(proposals, *canvas_size)
+        overlap = lambda i, rest: _iou_matrix(local.take([i]), local.take(rest))[0]
     else:
-        overlap = lambda i, j: box_iou(proposals[i].box, proposals[j].box)
+        coords = [(p.box.x0, p.box.y0, p.box.x1, p.box.y1) for p in proposals]
+        exact = all(abs(v) < _EXACT_BOX_COORD for c in coords for v in c)
+        boxes = np.array(coords, dtype=np.int64 if exact else object).reshape(-1, 4)
+        overlap = lambda i, rest: _box_iou_row(boxes, i, rest)
+    alive = np.ones(len(proposals), dtype=bool)
     keep: list[int] = []
-    for i in order:
-        if all(overlap(i, k) <= iou_thresh for k in keep):
-            keep.append(i)
+    for pos, i in enumerate(order):
+        if not alive[i]:
+            continue
+        keep.append(i)
+        rest = order[pos + 1 :]
+        rest = rest[alive[rest]]
+        alive[rest[overlap(i, rest) > iou_thresh]] = False
     return [proposals[i] for i in keep]
 
 
@@ -244,12 +356,21 @@ def evaluate(
     curve_thresholds: Sequence[float] = AR_IOU_THRESHOLDS,
     settings: dict[str, object] | None = None,
 ) -> EvalReport:
-    """Recall curve, AR@N, and AP in one pass over shared matching."""
+    """Recall curve, AR@N, and AP in one pass over shared matching.
+
+    The proposal x ground-truth IoU matrix is built once; AR@N reads
+    its top-n rows in score order, and the curve and AP read it whole.
+    """
+    _check_ascending(curve_thresholds)
+    mat = _proposal_gt_matrix(proposals, gts)
+    for n in ar_ns:
+        _check_budget(n)
+    order = _score_order(proposals)
     return EvalReport(
         num_ground_truth=len(gts),
         num_proposals=len(proposals),
-        curve=recall_curve(proposals, gts, curve_thresholds),
-        ar_at_n={n: average_recall(proposals, gts, n) for n in ar_ns},
-        ap_at={t: average_precision(proposals, gts, t) for t in ap_ious},
+        curve=_recall_curve(mat, order, curve_thresholds),
+        ar_at_n={n: _average_recall(mat, order, n) for n in ar_ns},
+        ap_at={t: _average_precision(mat, order, t) for t in ap_ious},
         settings=dict(settings or {}),
     )

@@ -6,7 +6,15 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import expit
 
-from dtmask import BinaryMask, Box, QuantizationScheme, BitPlaneStack, SoftDecodeParams
+from dtmask import (
+    BinaryMask,
+    BitPlaneStack,
+    Box,
+    QuantizationScheme,
+    SoftDecodeParams,
+    box_iou,
+    mask_iou,
+)
 from dtmask.codec import _disk_element, _painted_radius
 
 
@@ -134,3 +142,45 @@ def decode_to_canvas_oracle(
                 x0 - cx + painted : x1 - cx + painted,
             ]
     return BinaryMask(canvas)
+
+
+def _score_order_oracle(proposals):
+    return sorted(range(len(proposals)), key=lambda i: (-proposals[i].score, i))
+
+
+def canvas_mask_oracle(proposal, width, height) -> BinaryMask:
+    """Reference paste: scatter each set mask pixel to its canvas position."""
+    if proposal.mask_anchor == "canvas":
+        return proposal.mask
+    ys, xs = np.nonzero(proposal.mask.pixels)
+    ys, xs = ys + proposal.box.y0, xs + proposal.box.x0
+    on = (ys >= 0) & (ys < height) & (xs >= 0) & (xs < width)
+    out = np.zeros((height, width), dtype=bool)
+    out[ys[on], xs[on]] = True
+    return BinaryMask(out)
+
+
+def iou_matrix_oracle(proposals, gts) -> np.ndarray:
+    """Reference proposal x GT IoU: `mask_iou` of full-canvas masks per cell."""
+    h, w = gts[0].pixels.shape
+    out = np.zeros((len(proposals), len(gts)))
+    for i, p in enumerate(proposals):
+        pm = canvas_mask_oracle(p, w, h)
+        for j, g in enumerate(gts):
+            out[i, j] = mask_iou(pm, g)
+    return out
+
+
+def nms_oracle(proposals, iou_thresh, use_masks=False, canvas_size=None):
+    """Reference NMS: each proposal is checked against every kept one."""
+    if use_masks:
+        w, h = canvas_size
+        masks = [canvas_mask_oracle(p, w, h) for p in proposals]
+        overlap = lambda i, j: mask_iou(masks[i], masks[j])
+    else:
+        overlap = lambda i, j: box_iou(proposals[i].box, proposals[j].box)
+    keep = []
+    for i in _score_order_oracle(proposals):
+        if all(overlap(i, k) <= iou_thresh for k in keep):
+            keep.append(i)
+    return [proposals[i] for i in keep]

@@ -301,6 +301,16 @@ class TestEval:
         ) == 2
 
 
+    @pytest.mark.parametrize("value", ["99999999999999999999", "4294967297"])
+    def test_label_beyond_int32_is_a_format_error(self, tmp_path, capsys, value):
+        _, plist = _eval_fixture(tmp_path)
+        gt = tmp_path / "big.pgm"
+        gt.write_text(f"P2 2 1\n{value}\n1 {value}\n")
+        code = run("eval", "--proposals", plist, "--gt", gt, "--out", tmp_path / "o.csv")
+        assert code == 2
+        assert f"error: label value {value} exceeds the int32 limit" in capsys.readouterr().err
+
+
 class TestBench:
     def test_small_run_matches_oracle(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -11,9 +11,9 @@ from dtmask import (
     rasterize_box,
     resize_nearest,
 )
-from dtmask.grid import crop_raster, resize_nearest_raster
+from dtmask.grid import MAX_LABEL, crop_raster, resize_nearest_raster
 
-from helpers import random_mask
+from helpers import canvas_mask_oracle, random_mask
 
 
 class TestBinaryMask:
@@ -42,6 +42,11 @@ class TestLabelMap:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             LabelMap(np.array([[0, -1]]))
+
+    def test_rejects_values_beyond_int32(self):
+        assert LabelMap(np.array([[0, MAX_LABEL]])).instance_ids() == [MAX_LABEL]
+        with pytest.raises(ValueError, match="exceed"):
+            LabelMap(np.array([[0, 2**32 + 1]], dtype=np.int64))
 
     def test_instance_ids_sorted_positive(self):
         lm = LabelMap(np.array([[3, 0], [1, 3]]))
@@ -88,6 +93,24 @@ class TestBoxProposal:
         for y in range(4):
             for x in range(6):
                 assert out[y, x] == (1 <= y < 3 and 4 <= x < 7)
+
+    def test_canvas_window_and_mask_match_scattered_pixels(self):
+        rng = np.random.default_rng(163)
+        for _ in range(200):
+            w, h = (int(v) for v in rng.integers(1, 12, 2))
+            bw, bh = (int(v) for v in rng.integers(1, 15, 2))
+            x0 = int(rng.integers(-bw - 2, w + 3))
+            y0 = int(rng.integers(-bh - 2, h + 3))
+            mask = BinaryMask(rng.random((bh, bw)) < 0.5)
+            p = BoxProposal(Box(x0, y0, x0 + bw, y0 + bh), 0.5, mask, "box")
+            want = canvas_mask_oracle(p, w, h).pixels
+            assert np.array_equal(p.canvas_mask(w, h).pixels, want)
+            x, y, window = p.canvas_window(w, h)
+            on_canvas = x0 < w and y0 < h and x0 + bw > 0 and y0 + bh > 0
+            assert (window.size > 0) == on_canvas
+            pasted = np.zeros((h, w), dtype=bool)
+            pasted[y : y + window.shape[0], x : x + window.shape[1]] = window
+            assert np.array_equal(pasted, want)
 
     def test_canvas_mask_requires_matching_canvas(self):
         mask = BinaryMask(np.ones((4, 6), dtype=bool))

@@ -114,11 +114,20 @@ class TestLabelMapFormat:
         with pytest.raises(FormatError, match="exceeds declared maxval"):
             read_label_map(path)
 
+    @pytest.mark.parametrize("value", ["4294967297", "99999999999999999999"])
+    def test_value_beyond_int32(self, tmp_path, value):
+        # with a maxval that admits it, the label must not wrap to 1
+        path = tmp_path / "big.pgm"
+        path.write_text(f"P2\n2 1\n{value}\n1 {value}\n")
+        with pytest.raises(FormatError, match=f"label value {value} exceeds the int32"):
+            read_label_map(path)
+
     def test_negative_label(self, tmp_path):
         path = tmp_path / "neg.pgm"
-        path.write_text("P2\n2 1\n3\n1 -2\n")
-        with pytest.raises(FormatError, match="negative"):
-            read_label_map(path)
+        for value in ("-2", "-99999999999999999999"):
+            path.write_text(f"P2\n2 1\n3\n1 {value}\n")
+            with pytest.raises(FormatError, match="negative"):
+                read_label_map(path)
 
     def test_non_integer_label(self, tmp_path):
         path = tmp_path / "word.pgm"

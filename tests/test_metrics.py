@@ -19,6 +19,10 @@ from dtmask import (
     recall_curve,
     top_scoring,
 )
+from dtmask import metrics
+from dtmask.metrics import _iou_matrix, _local_masks, _proposal_masks
+
+from helpers import canvas_mask_oracle, iou_matrix_oracle, nms_oracle
 
 
 def bar(width, x0, x1):
@@ -337,6 +341,136 @@ class TestEvaluate:
         assert report.ar_at_n == {10: 1.0, 100: 1.0, 1000: 1.0}
         assert report.ap_at == {0.5: 1.0, 0.7: 1.0}
         assert report.settings == {"top": 300}
+
+
+def _random_canvas_mask(rng, h, w):
+    if rng.random() < 0.2:
+        return BinaryMask(np.zeros((h, w), dtype=bool))
+    return BinaryMask(rng.random((h, w)) < float(rng.choice([0.1, 0.5, 1.0])))
+
+
+def _random_scene(rng, max_props=12):
+    """Canvas-anchored and box-anchored proposals, some empty, some off-canvas.
+
+    Box origins range from wholly left of / above the canvas to wholly
+    right of / below it, so boxes hang off every side; scores come from
+    a small set, so ties are common.
+    """
+    w, h = (int(v) for v in rng.integers(1, 20, 2))
+    gts = [_random_canvas_mask(rng, h, w) for _ in range(int(rng.integers(1, 5)))]
+    props = []
+    for _ in range(int(rng.integers(0, max_props + 1))):
+        bw, bh = (int(v) for v in rng.integers(1, max(w, h) + 6, 2))
+        x0 = int(rng.integers(-bw - 2, w + 3))
+        y0 = int(rng.integers(-bh - 2, h + 3))
+        box = Box(x0, y0, x0 + bw, y0 + bh)
+        score = float(rng.choice([0.1, 0.5, 0.5, 0.9]))
+        if rng.random() < 0.25:
+            props.append(BoxProposal(box, score, _random_canvas_mask(rng, h, w)))
+        else:
+            props.append(BoxProposal(box, score, _random_canvas_mask(rng, bh, bw), "box"))
+    return props, gts
+
+
+class TestSparseIouMatrix:
+    def test_equals_dense_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(401)
+        for _ in range(400):
+            props, gts = _random_scene(rng)
+            h, w = gts[0].pixels.shape
+            got = _iou_matrix(
+                _proposal_masks(props, w, h), _local_masks((0, 0, g.pixels) for g in gts)
+            )
+            want = iou_matrix_oracle(props, gts)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_proposal_block_equals_pairwise_mask_iou(self):
+        # the proposal x proposal block that mask NMS reads one row at a time
+        rng = np.random.default_rng(409)
+        for _ in range(150):
+            props, gts = _random_scene(rng)
+            h, w = gts[0].pixels.shape
+            local = _proposal_masks(props, w, h)
+            masks = [canvas_mask_oracle(p, w, h) for p in props]
+            want = np.array(
+                [[mask_iou(a, b) for b in masks] for a in masks]
+            ).reshape(len(props), len(props))
+            assert _iou_matrix(local, local).tobytes() == want.tobytes()
+
+    def test_empty_masks_on_either_side(self):
+        empty = _local_masks([(0, 0, np.zeros((3, 4), dtype=bool))])
+        full = _local_masks([(0, 0, np.ones((3, 4), dtype=bool))])
+        assert _iou_matrix(empty, empty).tolist() == [[1.0]]
+        assert _iou_matrix(empty, full).tolist() == [[0.0]]
+        assert _iou_matrix(full, empty).tolist() == [[0.0]]
+        assert empty.areas.tolist() == [0] and empty.boxes.tolist() == [[0, 0, 0, 0]]
+
+
+class TestNmsAgainstOracle:
+    @pytest.mark.parametrize("use_masks", [False, True])
+    def test_same_kept_list(self, use_masks):
+        rng = np.random.default_rng(419 + use_masks)
+        for _ in range(300):
+            props, gts = _random_scene(rng)
+            h, w = gts[0].pixels.shape
+            canvas = (w, h) if use_masks else None
+            for thresh in (0.0, 0.5, 1.0, float(rng.random())):
+                got = nms(props, thresh, use_masks=use_masks, canvas_size=canvas)
+                assert got == nms_oracle(props, thresh, use_masks, canvas)
+
+    def test_no_proposals(self):
+        assert nms([], 0.5) == []
+        assert nms([], 0.5, use_masks=True, canvas_size=(4, 4)) == []
+
+    def test_huge_box_coordinates(self):
+        # beyond 2**25 the box areas leave float64's exact integer range
+        rng = np.random.default_rng(421)
+        for scale in (2**20, 2**24, 2**40, 10**20):
+            for _ in range(30):
+                props = []
+                for _ in range(int(rng.integers(1, 8))):
+                    x0, y0 = (int(v) * scale // 8 for v in rng.integers(-8, 8, 2))
+                    bw, bh = (int(v) * scale // 8 + 1 for v in rng.integers(1, 8, 2))
+                    score = float(rng.choice([0.3, 0.6]))
+                    props.append(BoxProposal(Box(x0, y0, x0 + bw, y0 + bh), score))
+                for thresh in (0.0, 0.3, 0.5, 1.0):
+                    assert nms(props, thresh) == nms_oracle(props, thresh)
+
+
+class TestSharedMatrix:
+    def test_report_equals_standalone_metrics(self):
+        rng = np.random.default_rng(431)
+        ar_ns, ap_ious = (1, 3, 100), (0.0, 0.5, 0.7)
+        for _ in range(100):
+            props, gts = _random_scene(rng)
+            report = evaluate(props, gts, ar_ns, ap_ious)
+            assert report.curve == recall_curve(props, gts)
+            assert report.ar_at_n == {n: average_recall(props, gts, n) for n in ar_ns}
+            assert report.ap_at == {t: average_precision(props, gts, t) for t in ap_ious}
+
+    def test_evaluate_builds_one_matrix_and_no_canvas(self, monkeypatch):
+        rng = np.random.default_rng(433)
+        gts = [_random_canvas_mask(rng, 16, 16) for _ in range(3)]
+        props = [
+            BoxProposal(Box(x, x, x + 6, x + 5), 0.5, _random_canvas_mask(rng, 5, 6), "box")
+            for x in range(-3, 14, 2)
+        ]
+        calls = []
+
+        def counting(a, b):
+            calls.append((len(a.areas), len(b.areas)))
+            return _iou_matrix(a, b)
+
+        def no_canvas(self, width, height):
+            raise AssertionError("a full-canvas mask was built")
+
+        monkeypatch.setattr(metrics, "_iou_matrix", counting)
+        monkeypatch.setattr(BoxProposal, "canvas_mask", no_canvas)
+        evaluate(props, gts)
+        assert calls == [(len(props), len(gts))]
+        nms(props, 0.3)
+        nms(props, 0.3, use_masks=True, canvas_size=(16, 16))
 
 
 def test_standard_constants():
