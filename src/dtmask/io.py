@@ -1,9 +1,10 @@
 """Plain-text file formats for masks, maps, stacks, proposals, and CSV.
 
-All writers emit a fixed byte-exact layout with LF newlines; all
-readers tolerate arbitrary whitespace and '#' comments (to end of
-line).  Readers never repair bad data: every violation raises
-FormatError, except the documented lax mode of `read_bps` for
+All writers emit a fixed byte-exact layout with LF newlines.  Readers
+take ASCII only and split tokens and end '#' comments as str.split and
+str.splitlines do, so \x0b, \x0c and \x1c-\x1f are whitespace and all
+but \x1f end a comment.  They never repair bad data: every violation
+raises FormatError, except the documented lax mode of `read_bps` for
 deliberately corrupted stacks.
 
 Formats:
@@ -16,7 +17,9 @@ Formats:
 
 from __future__ import annotations
 
+import math
 import os
+import re
 
 import numpy as np
 
@@ -29,144 +32,157 @@ class FormatError(ValueError):
     """A file does not conform to its declared format."""
 
 
-def _strip_comments(text: str) -> list[str]:
-    tokens = []
-    for line in text.splitlines():
-        cut = line.find("#")
-        if cut != -1:
-            line = line[:cut]
-        tokens.extend(line.split())
-    return tokens
+# Python's str.split whitespace and str.splitlines breaks, in ASCII.
+_SPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_COMMENT = re.compile(rb"#[^\n\r\x0b\x0c\x1c-\x1e]*")
+_TOKEN = re.compile(rb"[^ \t\n\r\x0b\x0c\x1c-\x1f]+")
+# bytes.split() does not split on \x1c-\x1f.
+_SPACE_TO_BLANK = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
 
 
-def _read_tokens(path) -> list[str]:
-    with open(path, "r", encoding="ascii") as fh:
-        return _strip_comments(fh.read())
+def _read_ascii(path) -> bytes:
+    """The bytes of an ASCII file; any other byte is a FormatError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        k = int(np.argmax(np.frombuffer(data, dtype=np.uint8) > 0x7F))
+        where = f"line {len(data[: k + 1].splitlines())}, offset {k} (file {path})"
+        raise FormatError(f"non-ASCII byte 0x{data[k]:02x} at {where}")
+    return data
 
 
-def _int_token(tokens: list[str], pos: int, what: str) -> int:
-    if pos >= len(tokens):
-        raise FormatError(f"unexpected end of file while reading {what}")
-    try:
-        return int(tokens[pos])
-    except ValueError:
-        raise FormatError(f"{what} must be an integer, got {tokens[pos]!r}") from None
+class _RasterFile:
+    """A raster file read once as bytes: magic, width, height, more header
+    integers one token at a time, then the body from offset `pos`.  Errors
+    name the file and the place of a body token in `shape`."""
 
+    def __init__(self, path, magic: str):
+        self.path = os.fspath(path)
+        # A comment's line break stays, so it still separates tokens.
+        self.data = _COMMENT.sub(b"", _read_ascii(path))
+        token = _TOKEN.search(self.data)
+        if token is None or token.group() != magic.encode():
+            got = token.group().decode() if token else "nothing"
+            raise self.error(f"expected magic {magic!r}, got {got!r}")
+        self.pos = token.end()
+        self.width = self.read_int("width")
+        self.height = self.read_int("height")
+        if self.width < 1 or self.height < 1:
+            raise self.error(f"dimensions must be positive, got {self.width}x{self.height}")
 
-def _header_dims(tokens: list[str], pos: int) -> tuple[int, int]:
-    w = _int_token(tokens, pos, "width")
-    h = _int_token(tokens, pos + 1, "height")
-    if w < 1 or h < 1:
-        raise FormatError(f"dimensions must be positive, got {w}x{h}")
-    return w, h
+    def error(self, message: str, index=None) -> FormatError:
+        coords = () if index is None else np.unravel_index(index, self.shape)
+        names = ("plane", "row", "column")[3 - len(coords) :]
+        where = "".join(f", {n} {c}" for n, c in zip(names, coords))
+        return FormatError(f"{message} (file {self.path}{where})")
 
+    def reject(self, values: np.ndarray, bad: np.ndarray, message: str) -> None:
+        """Raise `message`, with the value in place of "{}", where `bad` first holds."""
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise self.error(message.format(values[k]), k)
 
-def _bit_raster(tokens: list[str], count: int, what: str) -> np.ndarray:
-    digits = "".join(tokens)
-    if len(digits) != count:
-        raise FormatError(f"expected {count} {what} digits, found {len(digits)}")
-    arr = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")
-    if (arr > 1).any():
-        bad = digits[int(np.nonzero(arr > 1)[0][0])]
-        raise FormatError(f"non-binary digit {bad!r} in {what}")
-    return arr.astype(bool)
+    def _parse(self, token: bytes, what: str, index=None) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise self.error(f"{what} must be an integer, got {token.decode()!r}", index) from None
 
+    def read_int(self, what: str) -> int:
+        token = _TOKEN.search(self.data, self.pos)
+        if token is None:
+            raise self.error(f"unexpected end of file while reading {what}")
+        self.pos = token.end()
+        return self._parse(token.group(), what)
 
-def _open_out(path):
-    return open(path, "w", encoding="ascii", newline="\n")
+    def bits(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """The body as a bool array of 0/1 digits, whitespace ignored."""
+        self.shape = shape
+        digits = self.data[self.pos :].translate(None, _SPACE)
+        if len(digits) != math.prod(shape):
+            raise self.error(f"expected {math.prod(shape)} {what} digits, found {len(digits)}")
+        arr = np.frombuffer(digits, dtype=np.uint8) - ord("0")
+        if arr.max() > 1:
+            k = int(np.argmax(arr > 1))
+            raise self.error(f"non-binary digit {chr(digits[k])!r} in {what}", k)
+        return arr.view(bool).reshape(shape)
+
+    def ints(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """The body as flat int64, or as Python ints if one is beyond int64."""
+        self.shape = shape
+        tokens = self.data[self.pos :].translate(_SPACE_TO_BLANK).split()
+        if len(tokens) != math.prod(shape):
+            raise self.error(f"expected {math.prod(shape)} {what}s, found {len(tokens)}")
+        try:
+            return np.fromiter(map(int, tokens), np.int64, len(tokens))
+        except (ValueError, OverflowError):
+            # Rescan to name a bad token; one beyond int64 fails a range check.
+            return np.array([self._parse(t, what, k) for k, t in enumerate(tokens)], dtype=object)
 
 
 def _comment_lines(comments) -> list[str]:
     return [f"# {c}" for c in comments]
 
 
+def _write(path, lines, raster=None) -> None:
+    """Write `lines`, then each raster row as one line of single-spaced
+    values: 0/1 digits for a bool raster, decimals otherwise."""
+    bits = raster is not None and raster.dtype == bool
+    if raster is not None and not bits:
+        lines = [*lines, *(" ".join(map(str, row)) for row in raster.tolist())]
+    with open(path, "wb") as fh:
+        fh.write("".join(f"{line}\n" for line in lines).encode("ascii"))
+        if bits:
+            rows = raster.reshape(-1, raster.shape[-1])
+            buf = np.full((len(rows), 2 * rows.shape[1]), ord(" "), dtype=np.uint8)
+            buf[:, ::2] = rows + np.uint8(ord("0"))
+            buf[:, -1] = ord("\n")
+            fh.write(buf)
+
+
 def read_mask(path) -> BinaryMask:
-    tokens = _read_tokens(path)
-    if not tokens or tokens[0] != "P1":
-        raise FormatError(f"expected magic 'P1', got {tokens[0] if tokens else 'nothing'!r}")
-    w, h = _header_dims(tokens, 1)
-    bits = _bit_raster(tokens[3:], w * h, "pixel")
-    return BinaryMask(bits.reshape(h, w))
+    f = _RasterFile(path, "P1")
+    return BinaryMask(f.bits((f.height, f.width), "pixel"))
 
 
 def write_mask(path, mask: BinaryMask, comments=()) -> None:
-    rows = [" ".join("1" if v else "0" for v in row) for row in mask.pixels]
-    lines = ["P1", *_comment_lines(comments), f"{mask.width} {mask.height}", *rows]
-    with _open_out(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = ["P1", *_comment_lines(comments), f"{mask.width} {mask.height}"]
+    _write(path, lines, mask.pixels)
 
 
 def read_label_map(path) -> LabelMap:
-    tokens = _read_tokens(path)
-    if not tokens or tokens[0] != "P2":
-        raise FormatError(f"expected magic 'P2', got {tokens[0] if tokens else 'nothing'!r}")
-    w, h = _header_dims(tokens, 1)
-    maxval = _int_token(tokens, 3, "maxval")
+    f = _RasterFile(path, "P2")
+    maxval = f.read_int("maxval")
     if maxval < 0:
-        raise FormatError(f"maxval must be >= 0, got {maxval}")
-    body = tokens[4:]
-    if len(body) != w * h:
-        raise FormatError(f"expected {w * h} label values, found {len(body)}")
-    try:
-        labels = np.fromiter(map(int, body), np.int64, len(body))
-    except (ValueError, OverflowError):
-        # Rescan to name the bad token; a value beyond int64 stays a Python
-        # int and fails a range check below.
-        labels = np.array(
-            [_int_token(body, k, "label value") for k in range(len(body))], dtype=object
-        )
-    if (labels < 0).any():
-        raise FormatError("negative label value")
-    for limit, name in ((maxval, "declared maxval"), (MAX_LABEL, "the int32 limit")):
-        if (labels > limit).any():
-            bad = int(labels[labels > limit][0])
-            raise FormatError(f"label value {bad} exceeds {name} {limit}")
-    return LabelMap(labels.reshape(h, w))
+        raise f.error(f"maxval must be >= 0, got {maxval}")
+    labels = f.ints((f.height, f.width), "label value")
+    f.reject(labels, labels < 0, "negative label value")
+    f.reject(labels, labels > maxval, f"label value {{}} exceeds declared maxval {maxval}")
+    f.reject(labels, labels > MAX_LABEL, f"label value {{}} exceeds the int32 limit {MAX_LABEL}")
+    return LabelMap(labels.reshape(f.shape))
 
 
 def write_label_map(path, label_map: LabelMap, comments=()) -> None:
-    maxval = int(label_map.labels.max())
-    rows = [" ".join(str(int(v)) for v in row) for row in label_map.labels]
-    lines = [
-        "P2",
-        *_comment_lines(comments),
-        f"{label_map.width} {label_map.height}",
-        str(maxval),
-        *rows,
-    ]
-    with _open_out(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    size = f"{label_map.width} {label_map.height}"
+    maxval = str(int(label_map.labels.max()))
+    _write(path, ["P2", *_comment_lines(comments), size, maxval], label_map.labels)
 
 
 def read_dtm(path) -> TruncatedDistanceMap:
-    tokens = _read_tokens(path)
-    if not tokens or tokens[0] != "DTM":
-        raise FormatError(f"expected magic 'DTM', got {tokens[0] if tokens else 'nothing'!r}")
-    w, h = _header_dims(tokens, 1)
-    cap = _int_token(tokens, 3, "radius cap")
+    f = _RasterFile(path, "DTM")
+    cap = f.read_int("radius cap")
     if cap < 1:
-        raise FormatError(f"radius cap must be >= 1, got {cap}")
-    body = tokens[4:]
-    if len(body) != w * h:
-        raise FormatError(f"expected {w * h} distance values, found {len(body)}")
-    values = np.empty(w * h, dtype=np.int64)
-    for k in range(len(body)):
-        values[k] = _int_token(body, k, "distance value")
-    if (values < 0).any() or (values > cap).any():
-        bad = int(values[(values < 0) | (values > cap)][0])
-        raise FormatError(f"distance value {bad} outside [0, {cap}]")
-    return TruncatedDistanceMap(values.reshape(h, w), cap)
+        raise f.error(f"radius cap must be >= 1, got {cap}")
+    values = f.ints((f.height, f.width), "distance value")
+    # Values are stored as int32: with a larger cap, 2**32 would wrap to 0.
+    top = min(cap, MAX_LABEL)
+    f.reject(values, (values < 0) | (values > top), f"distance value {{}} outside [0, {top}]")
+    return TruncatedDistanceMap(values.reshape(f.shape), cap)
 
 
 def write_dtm(path, dmap: TruncatedDistanceMap, comments=()) -> None:
-    rows = [" ".join(str(int(v)) for v in row) for row in dmap.values]
-    lines = [
-        f"DTM {dmap.width} {dmap.height} {dmap.radius_cap}",
-        *_comment_lines(comments),
-        *rows,
-    ]
-    with _open_out(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = [f"DTM {dmap.width} {dmap.height} {dmap.radius_cap}", *_comment_lines(comments)]
+    _write(path, lines, dmap.values)
 
 
 def read_bps(path, lax: bool = False) -> BitPlaneStack:
@@ -175,77 +191,61 @@ def read_bps(path, lax: bool = False) -> BitPlaneStack:
     The header does not carry the radius cap, so the scheme is rebuilt
     with the smallest cap consistent with the radii (cap = r_K).
     """
-    tokens = _read_tokens(path)
-    if not tokens or tokens[0] != "BPS":
-        raise FormatError(f"expected magic 'BPS', got {tokens[0] if tokens else 'nothing'!r}")
-    w, h = _header_dims(tokens, 1)
-    bins = _int_token(tokens, 3, "plane count")
+    f = _RasterFile(path, "BPS")
+    bins = f.read_int("plane count")
     if bins < 2:
-        raise FormatError(f"plane count must be >= 2, got {bins}")
-    radii = tuple(_int_token(tokens, 4 + n, f"bin radius {n + 1}") for n in range(bins))
+        raise f.error(f"plane count must be >= 2, got {bins}")
+    # One token at a time: the count is unchecked until the file runs out.
+    radii = tuple(f.read_int(f"bin radius {n + 1}") for n in range(bins))
     try:
         scheme = QuantizationScheme(bins, max(radii[-1], 1), radii)
     except ValueError as exc:
-        raise FormatError(str(exc)) from None
-    bits = _bit_raster(tokens[4 + bins :], bins * w * h, "plane")
-    stack = BitPlaneStack(bits.reshape(bins, h, w), scheme)
+        raise f.error(str(exc)) from None
+    stack = BitPlaneStack(f.bits((bins, f.height, f.width), "plane"), scheme)
     if not lax and not stack.is_one_hot():
-        hot = stack.planes.sum(axis=0, dtype=np.int32)
-        ys, xs = np.nonzero(hot != 1)
-        raise FormatError(
-            f"one-hot violation at pixel ({int(xs[0])}, {int(ys[0])}): "
-            f"{int(hot[ys[0], xs[0]])} bits set"
-        )
+        y, x = np.argwhere(stack.planes.sum(axis=0) != 1)[0]
+        hot = stack.planes[:, y, x].sum()
+        raise f.error(f"one-hot violation at pixel ({x}, {y}): {hot} bits set")
     return stack
 
 
 def write_bps(path, stack: BitPlaneStack, comments=()) -> None:
-    header = (
-        f"BPS {stack.width} {stack.height} {stack.scheme.bins} "
-        + " ".join(str(r) for r in stack.scheme.radii)
-    )
-    rows = []
-    for plane in stack.planes:
-        rows.extend(" ".join("1" if v else "0" for v in row) for row in plane)
-    with _open_out(path) as fh:
-        fh.write("\n".join([header, *_comment_lines(comments), *rows]) + "\n")
+    radii = " ".join(str(r) for r in stack.scheme.radii)
+    header = f"BPS {stack.width} {stack.height} {stack.scheme.bins} {radii}"
+    _write(path, [header, *_comment_lines(comments)], stack.planes)
 
 
 def read_proposals(path) -> list[BoxProposal]:
     """Read a proposal list; mask paths resolve relative to the file."""
     base = os.path.dirname(os.path.abspath(path))
     out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) not in (6, 7):
-                raise FormatError(
-                    f"{path}: line {lineno}: expected 6 or 7 fields, got {len(fields)}"
-                )
-            try:
-                int(fields[0])
-                box = Box(*(int(v) for v in fields[1:5]))
-                score = float(fields[5])
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from None
-            mask = None
-            anchor = "canvas"
-            if len(fields) == 7:
-                mask_path = os.path.join(base, fields[6])
-                if not os.path.exists(mask_path):
-                    raise FormatError(
-                        f"{path}: line {lineno}: mask file not found: {fields[6]}"
-                    )
-                mask = read_mask(mask_path)
-                if (mask.height, mask.width) == (box.height, box.width):
-                    anchor = "box"
-            try:
-                out.append(BoxProposal(box, score, mask, anchor))
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from None
+    # bytes.splitlines breaks at \n, \r and \r\n only, like a text file.
+    for lineno, raw in enumerate(_read_ascii(path).splitlines(), start=1):
+        line = raw.decode("ascii").split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) not in (6, 7):
+            raise FormatError(f"{path}: line {lineno}: expected 6 or 7 fields, got {len(fields)}")
+        try:
+            int(fields[0])
+            box = Box(*(int(v) for v in fields[1:5]))
+            score = float(fields[5])
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from None
+        mask = None
+        anchor = "canvas"
+        if len(fields) == 7:
+            mask_path = os.path.join(base, fields[6])
+            if not os.path.exists(mask_path):
+                raise FormatError(f"{path}: line {lineno}: mask file not found: {fields[6]}")
+            mask = read_mask(mask_path)
+            if (mask.height, mask.width) == (box.height, box.width):
+                anchor = "box"
+        try:
+            out.append(BoxProposal(box, score, mask, anchor))
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from None
     return out
 
 
@@ -269,19 +269,13 @@ def write_proposals(path, proposals, mask_dir=None, comments=()) -> None:
             write_mask(mask_file, p.mask)
             entry += " " + os.path.relpath(mask_file, base).replace(os.sep, "/")
         lines.append(entry)
-    with _open_out(path) as fh:
-        if lines:
-            fh.write("\n".join(lines) + "\n")
+    _write(path, lines)
 
 
 def write_csv(path, header: list[str], rows, comments=()) -> None:
     """Minimal deterministic CSV: '#' comments, header line, data rows."""
-    lines = _comment_lines(comments)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
-    with _open_out(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [",".join(_csv_cell(v) for v in row) for row in rows]
+    _write(path, [*_comment_lines(comments), ",".join(header), *rows])
 
 
 def _csv_cell(v) -> str:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 from scipy import ndimage
 from scipy.special import expit
@@ -10,12 +12,17 @@ from dtmask import (
     BinaryMask,
     BitPlaneStack,
     Box,
+    BoxProposal,
+    FormatError,
+    LabelMap,
     QuantizationScheme,
+    TruncatedDistanceMap,
     SoftDecodeParams,
     box_iou,
     mask_iou,
 )
 from dtmask.codec import _disk_element, _painted_radius
+from dtmask.grid import MAX_LABEL
 
 
 def disk_raster(h, w, cy, cx, r):
@@ -184,3 +191,215 @@ def nms_oracle(proposals, iou_thresh, use_masks=False, canvas_size=None):
         if all(overlap(i, k) <= iou_thresh for k in keep):
             keep.append(i)
     return [proposals[i] for i in keep]
+
+
+# Reference plain-text readers and writers: one Python str per token on
+# read, one join per row on write.  `dtmask.io` must match their bytes,
+# and their results on every file they accept.
+
+
+def _tokens_oracle(path) -> list[str]:
+    with open(path, "r", encoding="ascii") as fh:
+        text = fh.read()
+    tokens = []
+    for line in text.splitlines():
+        cut = line.find("#")
+        if cut != -1:
+            line = line[:cut]
+        tokens.extend(line.split())
+    return tokens
+
+
+def _int_token_oracle(tokens, pos, what) -> int:
+    if pos >= len(tokens):
+        raise FormatError(f"unexpected end of file while reading {what}")
+    try:
+        return int(tokens[pos])
+    except ValueError:
+        raise FormatError(f"{what} must be an integer, got {tokens[pos]!r}") from None
+
+
+def _header_oracle(path, magic) -> tuple[list[str], int, int]:
+    tokens = _tokens_oracle(path)
+    if not tokens or tokens[0] != magic:
+        raise FormatError(f"expected magic {magic!r}, got {tokens[0] if tokens else 'nothing'!r}")
+    w = _int_token_oracle(tokens, 1, "width")
+    h = _int_token_oracle(tokens, 2, "height")
+    if w < 1 or h < 1:
+        raise FormatError(f"dimensions must be positive, got {w}x{h}")
+    return tokens, w, h
+
+
+def _bits_oracle(tokens, count, what) -> np.ndarray:
+    digits = "".join(tokens)
+    if len(digits) != count:
+        raise FormatError(f"expected {count} {what} digits, found {len(digits)}")
+    arr = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")
+    if (arr > 1).any():
+        bad = digits[int(np.nonzero(arr > 1)[0][0])]
+        raise FormatError(f"non-binary digit {bad!r} in {what}")
+    return arr.astype(bool)
+
+
+def _write_lines_oracle(path, lines) -> None:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        if lines:
+            fh.write("\n".join(lines) + "\n")
+
+
+def read_mask_oracle(path) -> BinaryMask:
+    tokens, w, h = _header_oracle(path, "P1")
+    return BinaryMask(_bits_oracle(tokens[3:], w * h, "pixel").reshape(h, w))
+
+
+def write_mask_oracle(path, mask, comments=()) -> None:
+    rows = [" ".join("1" if v else "0" for v in row) for row in mask.pixels]
+    head = ["P1", *(f"# {c}" for c in comments), f"{mask.width} {mask.height}"]
+    _write_lines_oracle(path, head + rows)
+
+
+def read_label_map_oracle(path) -> LabelMap:
+    tokens, w, h = _header_oracle(path, "P2")
+    maxval = _int_token_oracle(tokens, 3, "maxval")
+    if maxval < 0:
+        raise FormatError(f"maxval must be >= 0, got {maxval}")
+    body = tokens[4:]
+    if len(body) != w * h:
+        raise FormatError(f"expected {w * h} label values, found {len(body)}")
+    labels = np.array(
+        [_int_token_oracle(body, k, "label value") for k in range(len(body))], dtype=object
+    )
+    if (labels < 0).any():
+        raise FormatError("negative label value")
+    for limit, name in ((maxval, "declared maxval"), (MAX_LABEL, "the int32 limit")):
+        if (labels > limit).any():
+            bad = int(labels[labels > limit][0])
+            raise FormatError(f"label value {bad} exceeds {name} {limit}")
+    return LabelMap(labels.astype(np.int64).reshape(h, w))
+
+
+def write_label_map_oracle(path, label_map, comments=()) -> None:
+    rows = [" ".join(str(int(v)) for v in row) for row in label_map.labels]
+    head = [
+        "P2",
+        *(f"# {c}" for c in comments),
+        f"{label_map.width} {label_map.height}",
+        str(int(label_map.labels.max())),
+    ]
+    _write_lines_oracle(path, head + rows)
+
+
+def read_dtm_oracle(path) -> TruncatedDistanceMap:
+    tokens, w, h = _header_oracle(path, "DTM")
+    cap = _int_token_oracle(tokens, 3, "radius cap")
+    if cap < 1:
+        raise FormatError(f"radius cap must be >= 1, got {cap}")
+    body = tokens[4:]
+    if len(body) != w * h:
+        raise FormatError(f"expected {w * h} distance values, found {len(body)}")
+    values = np.empty(w * h, dtype=np.int64)
+    for k in range(len(body)):
+        values[k] = _int_token_oracle(body, k, "distance value")
+    if (values < 0).any() or (values > cap).any():
+        bad = int(values[(values < 0) | (values > cap)][0])
+        raise FormatError(f"distance value {bad} outside [0, {cap}]")
+    return TruncatedDistanceMap(values.reshape(h, w), cap)
+
+
+def write_dtm_oracle(path, dmap, comments=()) -> None:
+    rows = [" ".join(str(int(v)) for v in row) for row in dmap.values]
+    head = [f"DTM {dmap.width} {dmap.height} {dmap.radius_cap}", *(f"# {c}" for c in comments)]
+    _write_lines_oracle(path, head + rows)
+
+
+def read_bps_oracle(path, lax=False) -> BitPlaneStack:
+    tokens, w, h = _header_oracle(path, "BPS")
+    bins = _int_token_oracle(tokens, 3, "plane count")
+    if bins < 2:
+        raise FormatError(f"plane count must be >= 2, got {bins}")
+    radii = tuple(_int_token_oracle(tokens, 4 + n, f"bin radius {n + 1}") for n in range(bins))
+    try:
+        scheme = QuantizationScheme(bins, max(radii[-1], 1), radii)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    bits = _bits_oracle(tokens[4 + bins :], bins * w * h, "plane")
+    stack = BitPlaneStack(bits.reshape(bins, h, w), scheme)
+    if not lax and not stack.is_one_hot():
+        raise FormatError("one-hot violation")
+    return stack
+
+
+def write_bps_oracle(path, stack, comments=()) -> None:
+    header = (
+        f"BPS {stack.width} {stack.height} {stack.scheme.bins} "
+        + " ".join(str(r) for r in stack.scheme.radii)
+    )
+    rows = []
+    for plane in stack.planes:
+        rows.extend(" ".join("1" if v else "0" for v in row) for row in plane)
+    _write_lines_oracle(path, [header, *(f"# {c}" for c in comments), *rows])
+
+
+def read_proposals_oracle(path) -> list[BoxProposal]:
+    base = os.path.dirname(os.path.abspath(path))
+    out = []
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            fields = line.split()
+            if len(fields) not in (6, 7):
+                raise FormatError(f"{path}: line {lineno}: expected 6 or 7 fields")
+            try:
+                int(fields[0])
+                box = Box(*(int(v) for v in fields[1:5]))
+                score = float(fields[5])
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {lineno}: {exc}") from None
+            mask = None
+            anchor = "canvas"
+            if len(fields) == 7:
+                mask_path = os.path.join(base, fields[6])
+                if not os.path.exists(mask_path):
+                    raise FormatError(f"{path}: line {lineno}: mask file not found")
+                mask = read_mask_oracle(mask_path)
+                if (mask.height, mask.width) == (box.height, box.width):
+                    anchor = "box"
+            try:
+                out.append(BoxProposal(box, score, mask, anchor))
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {lineno}: {exc}") from None
+    return out
+
+
+def write_proposals_oracle(path, proposals, mask_dir=None, comments=()) -> None:
+    path = os.fspath(path)
+    base = os.path.dirname(os.path.abspath(path))
+    if mask_dir is None:
+        mask_dir = os.path.splitext(path)[0] + "_masks"
+    lines = [f"# {c}" for c in comments]
+    for i, p in enumerate(proposals):
+        b = p.box
+        entry = f"{i} {b.x0} {b.y0} {b.x1} {b.y1} {p.score!r}"
+        if p.mask is not None:
+            os.makedirs(mask_dir, exist_ok=True)
+            mask_file = os.path.join(mask_dir, f"mask_{i:04d}.pbm")
+            write_mask_oracle(mask_file, p.mask)
+            entry += " " + os.path.relpath(mask_file, base).replace(os.sep, "/")
+        lines.append(entry)
+    _write_lines_oracle(path, lines)
+
+
+def write_csv_oracle(path, header, rows, comments=()) -> None:
+    def cell(v) -> str:
+        if isinstance(v, bool):
+            return "yes" if v else "no"
+        if isinstance(v, float):
+            return repr(v)
+        return str(v)
+
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(header))
+    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    _write_lines_oracle(path, lines)

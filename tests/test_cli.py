@@ -75,6 +75,12 @@ class TestDt:
     def test_missing_input(self, tmp_path):
         assert run("dt", "--in", tmp_path / "no.pbm", "--out", tmp_path / "o") == 2
 
+    def test_non_ascii_input_is_a_format_error(self, tmp_path, capsys):
+        pbm = tmp_path / "bad.pbm"
+        pbm.write_bytes(b"P1\n2 1\n0\xff\n")
+        assert run("dt", "--in", pbm, "--out", tmp_path / "o") == 2
+        assert f"error: non-ASCII byte 0xff at line 3, offset 8 (file {pbm})" in capsys.readouterr().err
+
 
 class TestEncodeDecode:
     def test_roundtrip_recovers_interior(self, tmp_path, disk_pbm):

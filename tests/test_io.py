@@ -92,6 +92,24 @@ class TestMaskFormat:
         with pytest.raises(FormatError, match="positive"):
             read_mask(path)
 
+    def test_comment_ends_at_every_line_break(self, tmp_path):
+        # a comment ends at any str.splitlines break, and \x1f separates
+        # tokens like any other ASCII whitespace
+        path = tmp_path / "breaks.pbm"
+        for brk in b"\n\r\x0b\x0c\x1c\x1d\x1e":
+            path.write_bytes(b"P1 2 1 # c" + bytes([brk]) + b"1\x1f0")
+            assert np.array_equal(read_mask(path).pixels, [[1, 0]])
+        path.write_bytes(b"P1 2 1 # c\x1f1 0\n1 0")
+        assert np.array_equal(read_mask(path).pixels, [[1, 0]])
+
+    def test_error_names_file_row_and_column(self, tmp_path):
+        path = tmp_path / "digits.pbm"
+        path.write_text("P1\n2 2\n0 1\n2 0\n")
+        want = f"non-binary digit '2' in pixel (file {path}, row 1, column 0)"
+        with pytest.raises(FormatError) as err:
+            read_mask(path)
+        assert str(err.value) == want
+
 
 class TestLabelMapFormat:
     def test_roundtrip_and_maxval(self, tmp_path):
@@ -122,6 +140,14 @@ class TestLabelMapFormat:
         with pytest.raises(FormatError, match=f"label value {value} exceeds the int32"):
             read_label_map(path)
 
+    def test_int32_boundary(self, tmp_path):
+        path = tmp_path / "edge.pgm"
+        path.write_text("P2\n2 1\n2147483648\n1 2147483647\n")
+        assert read_label_map(path).instance_ids() == [1, 2147483647]
+        path.write_text("P2\n2 1\n2147483648\n1 2147483648\n")
+        with pytest.raises(FormatError, match="2147483648 exceeds the int32 limit"):
+            read_label_map(path)
+
     def test_negative_label(self, tmp_path):
         path = tmp_path / "neg.pgm"
         for value in ("-2", "-99999999999999999999"):
@@ -134,6 +160,18 @@ class TestLabelMapFormat:
         path.write_text("P2\n2 1\n3\n1 x\n")
         with pytest.raises(FormatError, match="integer"):
             read_label_map(path)
+
+    def test_errors_name_file_row_and_column(self, tmp_path):
+        path = tmp_path / "bad.pgm"
+        for body, message, where in (
+            ("1 2\n3 x", "label value must be an integer, got 'x'", "row 1, column 1"),
+            ("1 -2\n3 0", "negative label value", "row 0, column 1"),
+            ("1 2\n9 0", "label value 9 exceeds declared maxval 3", "row 1, column 0"),
+        ):
+            path.write_text(f"P2\n2 2\n3\n{body}\n")
+            with pytest.raises(FormatError) as err:
+                read_label_map(path)
+            assert str(err.value) == f"{message} (file {path}, {where})"
 
     def test_reserialization_is_byte_identical(self, tmp_path):
         value = LabelMap([[3, 0, 3], [0, 12, 0]])
@@ -159,6 +197,23 @@ class TestDistanceMapFormat:
         path = tmp_path / "over.dtm"
         path.write_text("DTM 2 1 5\n0 6\n")
         with pytest.raises(FormatError, match="outside"):
+            read_dtm(path)
+
+    @pytest.mark.parametrize("value", ["99999999999999999999", "-99999999999999999999"])
+    def test_value_beyond_int64(self, tmp_path, value):
+        path = tmp_path / "big.dtm"
+        path.write_text(f"DTM 2 1 5\n0 {value}\n")
+        with pytest.raises(FormatError) as err:
+            read_dtm(path)
+        want = f"distance value {value} outside [0, 5] (file {path}, row 0, column 1)"
+        assert str(err.value) == want
+
+    def test_value_beyond_int32_with_a_larger_cap(self, tmp_path):
+        # values are stored as int32; with a cap that admits it, 2**32
+        # must not wrap to 0
+        path = tmp_path / "big.dtm"
+        path.write_text("DTM 2 1 99999999999\n1 4294967296\n")
+        with pytest.raises(FormatError, match=r"4294967296 outside \[0, 2147483647\]"):
             read_dtm(path)
 
     def test_bad_cap(self, tmp_path):
@@ -239,6 +294,14 @@ class TestBitPlaneFormat:
         with pytest.raises(FormatError, match="plane count"):
             read_bps(path)
 
+    def test_bad_digit_names_plane_row_and_column(self, tmp_path):
+        path = tmp_path / "bad.bps"
+        path.write_text("BPS 2 2 2 0 3\n1 1\n1 1\n0 0\n0 5\n")
+        with pytest.raises(FormatError) as err:
+            read_bps(path)
+        want = f"non-binary digit '5' in plane (file {path}, plane 1, row 1, column 1)"
+        assert str(err.value) == want
+
     def test_truncated_planes(self, tmp_path):
         path = tmp_path / "short.bps"
         path.write_text("BPS 2 2 2 0 3\n1 1 1 1\n0 0\n")
@@ -309,6 +372,13 @@ class TestProposalsFormat:
         with pytest.raises(FormatError, match="mask file not found"):
             read_proposals(path)
 
+    def test_non_ascii_byte_names_line_and_offset(self, tmp_path):
+        path = tmp_path / "props.txt"
+        path.write_bytes(b"0 1 1 4 5 0.5\r\n\xe9 1 1 4 5 0.5\n")
+        with pytest.raises(FormatError) as err:
+            read_proposals(path)
+        assert str(err.value) == f"non-ASCII byte 0xe9 at line 2, offset 15 (file {path})"
+
     def test_non_integer_coordinate(self, tmp_path):
         path = tmp_path / "props.txt"
         path.write_text("0 1 one 4 5 0.5\n")
@@ -347,6 +417,27 @@ class TestCsv:
             b"1,0.5,yes,a\n2,0.3333333333333333,no,b\n"
         )
         assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (read_mask, b"P1\n2 1\n0\xff\n"),
+        (read_label_map, b"P2\n2 1\n3\n0 \xe9\n"),
+        (read_dtm, b"DTM 2 1 5\n0\x80 1\n"),
+        (read_bps, b"BPS 1 1 2 0 3 # \xff\n1\n0\n"),
+    ],
+    ids=["pbm", "pgm", "dtm", "bps"],
+)
+def test_non_ascii_byte_is_a_format_error(tmp_path, read, text):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text)
+    offset = max(text.find(b) for b in (b"\xff", b"\xe9", b"\x80"))
+    line = text[:offset].count(b"\n") + 1
+    with pytest.raises(FormatError) as err:
+        read(path)
+    want = f"non-ASCII byte 0x{text[offset]:02x} at line {line}, offset {offset} (file {path})"
+    assert str(err.value) == want
 
 
 def test_writers_use_unix_newlines(tmp_path):
