@@ -25,7 +25,7 @@ from .grid import (
     BinaryMask,
     Box,
     _nearest_indices,
-    crop,
+    _overlap,
     rasterize_box,
     resize_nearest_raster,
 )
@@ -164,9 +164,7 @@ def encode_window(
     num, den = spec.min_scale_fraction()
     cap = scheme.radius_cap
     pre_cap = max(cap, (cap * den + num - 1) // num)
-    window_values = edt_with_external_boundary(
-        crop(full_mask, spec.box), full_mask, spec.box, pre_cap
-    ).values
+    window_values = edt_with_external_boundary(full_mask, spec.box, pre_cap).values
     resized = resize_nearest_raster(window_values, spec.norm_width, spec.norm_height)
     scaled = (resized.astype("int64") * num + den - 1) // den
     values = scaled.clip(max=cap)
@@ -212,19 +210,18 @@ def decode_to_canvas(
         # Scatter the mapped centres into a local raster spanning their
         # bounding box padded by the painted radius, so no disk is cut.
         cy, cx = map_y[ys], map_x[xs]
-        y0, x0 = int(cy.min()) - painted, int(cx.min()) - painted
-        local = np.zeros(
-            (int(cy.max()) + painted + 1 - y0, int(cx.max()) + painted + 1 - x0),
-            dtype=bool,
+        span = Box(
+            int(cx.min()) - painted,
+            int(cy.min()) - painted,
+            int(cx.max()) + painted + 1,
+            int(cy.max()) + painted + 1,
         )
-        local[cy - y0, cx - x0] = True
-        painted_local = _disk_sum(local, painted) > 0
-        cy0, cy1 = max(y0, 0), min(y0 + local.shape[0], canvas_height)
-        cx0, cx1 = max(x0, 0), min(x0 + local.shape[1], canvas_width)
-        if cy0 < cy1 and cx0 < cx1:
-            canvas[cy0:cy1, cx0:cx1] |= painted_local[
-                cy0 - y0 : cy1 - y0, cx0 - x0 : cx1 - x0
-            ]
+        local = np.zeros((span.height, span.width), dtype=bool)
+        local[cy - span.y0, cx - span.x0] = True
+        part = _overlap(span, canvas_width, canvas_height)
+        if part is not None:
+            on_canvas, in_local = part
+            canvas[on_canvas] |= (_disk_sum(local, painted) > 0)[in_local]
     return BinaryMask(canvas)
 
 

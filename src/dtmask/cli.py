@@ -11,7 +11,6 @@ from __future__ import annotations
 import statistics
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .codec import (
     DEFAULT_SOFT_BIAS,
     DEFAULT_SOFT_THRESHOLD,
     DEFAULT_SOFT_WEIGHT,
+    DECODE_MODES,
     SoftDecodeParams,
     corrupt,
     encode,
@@ -50,16 +50,8 @@ from .io import (
     write_mask,
 )
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective settings of one CLI invocation, echoed into outputs."""
-
-    command: str
-    settings: tuple[tuple[str, object], ...]
-
-    def provenance(self) -> list[str]:
-        pairs = " ".join(f"{k}={_fmt(v)}" for k, v in self.settings)
-        return [f"dtmask {self.command} v{__version__}", pairs]
+# Largest boxsim sweep, in cells: checked before any perturbation is built.
+MAX_SWEEP_CELLS = 100_000
 
 
 def _fmt(v) -> str:
@@ -70,8 +62,10 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _config(command: str, **settings) -> RunConfig:
-    return RunConfig(command, tuple(settings.items()))
+def _provenance(command: str, **settings) -> list[str]:
+    """Header lines echoing the effective settings of one invocation."""
+    pairs = " ".join(f"{k}={_fmt(v)}" for k, v in settings.items())
+    return [f"dtmask {command} v{__version__}", pairs]
 
 
 def _parse_box(text: str) -> Box:
@@ -81,7 +75,7 @@ def _parse_box(text: str) -> Box:
     return Box(*(int(p) for p in parts))
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"range must be start:stop:step, got {text!r}")
@@ -90,7 +84,7 @@ def _parse_range(text: str) -> list[int]:
         raise ValueError(f"range step must be >= 1, got {step}")
     if stop < start:
         raise ValueError(f"empty range {text!r}")
-    return list(range(start, stop + 1, step))
+    return range(start, stop + 1, step)
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -123,8 +117,7 @@ def cmd_dt(args) -> int:
     mask = read_mask(args.infile)
     transform = brute_force_edt if args.oracle else truncated_edt
     dmap = transform(mask, args.radius)
-    cfg = _config("dt", radius=args.radius, oracle=args.oracle)
-    write_dtm(args.out, dmap, cfg.provenance())
+    write_dtm(args.out, dmap, _provenance("dt", radius=args.radius, oracle=args.oracle))
     return 0
 
 
@@ -132,16 +125,14 @@ def cmd_encode(args) -> int:
     mask = read_mask(args.infile)
     scheme = make_uniform_scheme(args.bins, args.radius)
     stack = encode(truncated_edt(mask, args.radius), scheme)
-    cfg = _config("encode", bins=args.bins, radius=args.radius)
-    write_bps(args.out, stack, cfg.provenance())
+    write_bps(args.out, stack, _provenance("encode", bins=args.bins, radius=args.radius))
     return 0
 
 
 def cmd_decode(args) -> int:
     stack = read_bps(args.infile)
     mask = hard_decode(stack, args.mode)
-    cfg = _config("decode", mode=args.mode)
-    write_mask(args.out, mask, cfg.provenance())
+    write_mask(args.out, mask, _provenance("decode", mode=args.mode))
     return 0
 
 
@@ -150,7 +141,7 @@ def cmd_softdecode(args) -> int:
     prob = corrupt(stack, args.flip_prob, args.seed)
     params = SoftDecodeParams(args.weight, args.bias, args.threshold)
     mask = soft_decode(prob, params, args.mode)
-    cfg = _config(
+    header = _provenance(
         "softdecode",
         flip_prob=args.flip_prob,
         seed=args.seed,
@@ -160,11 +151,18 @@ def cmd_softdecode(args) -> int:
         mode=args.mode,
         lax=args.lax,
     )
-    write_mask(args.out, mask, cfg.provenance())
+    write_mask(args.out, mask, header)
     return 0
 
 
 def cmd_boxsim(args) -> int:
+    # Lengths by arithmetic: len() of a range fails beyond sys.maxsize.
+    shrinks, shifts = (
+        (r.stop - r.start - 1) // r.step + 1 for r in (args.shrink_range, args.shift_range)
+    )
+    cells = shrinks * shifts**2
+    if cells > MAX_SWEEP_CELLS:
+        raise ValueError(f"sweep of {cells} cells exceeds the limit of {MAX_SWEEP_CELLS}")
     label_map = read_label_map(args.labels)
     mask = extract_instance(label_map, args.id)
     base_box = args.box
@@ -178,7 +176,7 @@ def cmd_boxsim(args) -> int:
     records = robustness_sweep(
         mask, base_box, perturbations, scheme, args.norm, args.mode
     )
-    cfg = _config(
+    header = _provenance(
         "boxsim",
         id=args.id,
         box=f"{base_box.x0},{base_box.y0},{base_box.x1},{base_box.y1}",
@@ -194,7 +192,7 @@ def cmd_boxsim(args) -> int:
         args.out,
         ["dx", "dy", "sx", "sy", "iou_beyond", "iou_inside"],
         rows,
-        cfg.provenance(),
+        header,
     )
     return 0
 
@@ -214,7 +212,7 @@ def cmd_eval(args) -> int:
     if args.nms is not None:
         proposals = nms(proposals, args.nms, use_masks=True, canvas_size=canvas)
     report = evaluate(proposals, gts, args.ar_n, args.ap_iou)
-    cfg = _config(
+    header = _provenance(
         "eval",
         ar_n=",".join(str(n) for n in args.ar_n),
         ap_iou=",".join(repr(t) for t in args.ap_iou),
@@ -229,7 +227,7 @@ def cmd_eval(args) -> int:
     rows += [("recall", t, r) for t, r in report.curve]
     rows += [("ar", n, v) for n, v in report.ar_at_n.items()]
     rows += [("ap", t, v) for t, v in report.ap_at.items()]
-    write_csv(args.out, ["section", "key", "value"], rows, cfg.provenance())
+    write_csv(args.out, ["section", "key", "value"], rows, header)
     return 0
 
 
@@ -283,7 +281,7 @@ def cmd_bench(args) -> int:
                 "" if match is None else ("yes" if match else "no"),
             )
         )
-    cfg = _config(
+    header = _provenance(
         "bench",
         sizes=",".join(str(s) for s in sizes),
         reps=args.reps,
@@ -304,7 +302,7 @@ def cmd_bench(args) -> int:
             "oracle_match",
         ],
         rows,
-        cfg.provenance(),
+        header,
     )
     return 0
 
@@ -338,9 +336,7 @@ def build_parser():
 
     p = sub.add_parser("decode", help="decode bit planes into a mask")
     p.add_argument("--in", dest="infile", required=True, help="input stack (BPS)")
-    p.add_argument(
-        "--mode", choices=("conservative", "literal"), default="conservative"
-    )
+    p.add_argument("--mode", choices=DECODE_MODES, default="conservative")
     p.add_argument("--out", required=True, help="output mask (PBM)")
     p.set_defaults(func=cmd_decode)
 
@@ -351,9 +347,7 @@ def build_parser():
     p.add_argument("--weight", type=float, default=DEFAULT_SOFT_WEIGHT)
     p.add_argument("--bias", type=float, default=DEFAULT_SOFT_BIAS)
     p.add_argument("--threshold", type=float, default=DEFAULT_SOFT_THRESHOLD)
-    p.add_argument(
-        "--mode", choices=("conservative", "literal"), default="conservative"
-    )
+    p.add_argument("--mode", choices=DECODE_MODES, default="conservative")
     p.add_argument("--lax", action="store_true", help="accept non-one-hot input")
     p.add_argument("--out", required=True, help="output mask (PBM)")
     p.set_defaults(func=cmd_softdecode)
@@ -376,9 +370,7 @@ def build_parser():
     )
     p.add_argument("--bins", type=int, default=5)
     p.add_argument("--radius", type=int, default=13)
-    p.add_argument(
-        "--mode", choices=("conservative", "literal"), default="conservative"
-    )
+    p.add_argument("--mode", choices=DECODE_MODES, default="conservative")
     p.add_argument(
         "--norm",
         type=_parse_norm,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .grid import BinaryMask
+from .grid import BinaryMask, _reach
 from .edt import TruncatedDistanceMap
 
 DECODE_MODES = ("conservative", "literal")
@@ -199,11 +199,11 @@ def _disk_sum(plane: np.ndarray, radius: int) -> np.ndarray:
     isqrt(r^2 - dy^2).  One row-wise prefix sum of the zero-padded plane
     turns every run into the difference of two shifted slices, so the
     cost grows with r rather than with the disk area.  Bool planes sum
-    in int32, scores in float64.  Radii beyond the raster diagonal are
+    in int32, scores in float64.  Radii beyond the raster's reach are
     clamped to it: every such disk already covers the whole raster.
     """
     h, w = plane.shape
-    r = min(radius, math.isqrt((h - 1) ** 2 + (w - 1) ** 2) + 1)
+    r = min(radius, _reach(h, w))
     dtype = np.float64 if plane.dtype.kind == "f" else np.int32
     # Column c + r + 1 of `prefix` sums plane columns <= c of its row.
     prefix = np.zeros((h + 2 * r, w + 2 * r + 1), dtype=dtype)

@@ -8,9 +8,13 @@ image border.  For each pixel p the transform stores
 
 with d measured between pixel centers, so D is integer-valued, zero
 exactly on Q, and capped at the truncation radius R.  Two independent
-routes are provided: `truncated_edt` (exact, fast) and
-`brute_force_edt` (literal minimization over Q, used as the reference
-in tests and benchmarks).  They agree bit for bit.
+routes are provided, and they agree bit for bit.  `truncated_edt` takes
+the nearest Q pixel from the exact feature transform, forms the squared
+distance s in integers, and reads ceil(sqrt(s)) capped at R off a table
+of squares: it is the count of k^2 < s over k = 0 .. min(R, reach) - 1,
+where reach bounds every rounded-up distance on the raster.  No float
+enters.  `brute_force_edt` minimizes over Q literally and rounds up
+with `math.isqrt`; it is the reference in tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grid import BinaryMask, Box, _frozen_raster, crop, crop_raster
+from .grid import BinaryMask, Box, _frozen_raster, _reach, crop_raster
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,10 +49,8 @@ class TruncatedDistanceMap:
         if not isinstance(self.radius_cap, (int, np.integer)) or self.radius_cap < 1:
             raise ValueError(f"radius cap must be a positive integer, got {self.radius_cap!r}")
         object.__setattr__(self, "radius_cap", int(self.radius_cap))
-        arr = _frozen_raster(self.values, np.int32)
-        if (arr < 0).any() or (arr > self.radius_cap).any():
-            raise ValueError("distance values must lie in [0, radius_cap]")
-        object.__setattr__(self, "values", arr)
+        values = _frozen_raster(self.values, np.int32, self.radius_cap, "distance values")
+        object.__setattr__(self, "values", values)
 
     @property
     def height(self) -> int:
@@ -84,40 +86,28 @@ def interior_mask(mask: BinaryMask) -> BinaryMask:
     return BinaryMask(mask.pixels & ~boundary_set(mask).member)
 
 
-def _exact_ceil_sqrt(d2: np.ndarray) -> np.ndarray:
-    """Elementwise ceil(sqrt(d2)) for non-negative int64, exactly.
-
-    Float sqrt gives a candidate within one unit of the true integer
-    square root; two integer fix-up steps make it exact, after which the
-    ceiling is a single comparison.  No float rounding can survive this.
-    """
-    f = np.sqrt(d2.astype(np.float64)).astype(np.int64)
-    f = np.where(f * f > d2, f - 1, f)
-    f = np.where((f + 1) * (f + 1) <= d2, f + 1, f)
-    return np.where(f * f == d2, f, f + 1)
-
-
 def truncated_edt(mask: BinaryMask, radius_cap: int) -> TruncatedDistanceMap:
     """Exact truncated distance transform of a mask.
 
     Uses the exact Euclidean feature transform to find the nearest Q
     pixel of every pixel, then takes the integer ceiling of the exact
-    distance and truncates at `radius_cap`.  Pixels in Q (including all
-    background) get value 0.
+    distance and truncates at `radius_cap`, in integers only.  Pixels
+    in Q (including all background) get value 0.
     """
     if radius_cap < 1:
         raise ValueError(f"radius cap must be >= 1, got {radius_cap}")
     q = boundary_set(mask).member
-    ind = ndimage.distance_transform_edt(~q, return_indices=True, return_distances=False)
-    iy, ix = np.indices(mask.pixels.shape, dtype=np.int64)
-    dy = iy - ind[0]
-    dx = ix - ind[1]
-    d2 = dy * dy + dx * dx
-    out = np.minimum(_exact_ceil_sqrt(d2), radius_cap)
-    return TruncatedDistanceMap(out.astype(np.int32), radius_cap)
+    h, w = q.shape
+    qy, qx = ndimage.distance_transform_edt(~q, return_indices=True, return_distances=False)
+    d2 = (qy - np.arange(h)[:, None]) ** 2
+    d2 += (qx - np.arange(w)) ** 2
+    # k^2 < d2 exactly for k < ceil(sqrt(d2)); no rounded-up distance
+    # exceeds the reach, so the table never needs to be longer.
+    squares = np.arange(min(radius_cap, _reach(h, w))) ** 2
+    return TruncatedDistanceMap(np.searchsorted(squares, d2), radius_cap)
 
 
-def brute_force_edt(mask: BinaryMask, radius_cap: int, chunk_pixels: int = 2048) -> TruncatedDistanceMap:
+def brute_force_edt(mask: BinaryMask, radius_cap: int) -> TruncatedDistanceMap:
     """Reference truncated distance transform.
 
     Minimizes the squared center distance over every pixel of Q
@@ -136,7 +126,7 @@ def brute_force_edt(mask: BinaryMask, radius_cap: int, chunk_pixels: int = 2048)
     qy, qx = np.nonzero(q)
     qy = qy.astype(np.int64)
     qx = qx.astype(np.int64)
-    step = max(1, min(chunk_pixels, 4_000_000 // max(1, qy.size)))
+    step = max(1, min(2048, 4_000_000 // qy.size))
     for start in range(0, py.size, step):
         yy = py[start : start + step].astype(np.int64)
         xx = px[start : start + step].astype(np.int64)
@@ -148,20 +138,14 @@ def brute_force_edt(mask: BinaryMask, radius_cap: int, chunk_pixels: int = 2048)
     return TruncatedDistanceMap(out, radius_cap)
 
 
-def edt_with_external_boundary(
-    window_mask: BinaryMask, full_mask: BinaryMask, window: Box, radius_cap: int
-) -> TruncatedDistanceMap:
+def edt_with_external_boundary(full_mask: BinaryMask, window: Box, radius_cap: int) -> TruncatedDistanceMap:
     """Window view of the full-image transform.
 
     Distances are computed against the boundary set of `full_mask` on
     the full grid, then cropped to `window`, so object structure outside
     the window still shapes the values inside it.  Out-of-image window
-    pixels are background and read 0.  `window_mask` must equal the crop
-    of `full_mask`; it is accepted and checked so callers cannot pair a
-    window with the wrong image.
+    pixels are background and read 0.
     """
-    if not np.array_equal(window_mask.pixels, crop(full_mask, window).pixels):
-        raise ValueError("window mask is not the crop of the full mask")
     full = truncated_edt(full_mask, radius_cap)
     values = crop_raster(full.values, window, 0)
     return TruncatedDistanceMap(values, radius_cap)

@@ -10,6 +10,7 @@ are measured between pixel centers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,13 +19,42 @@ import numpy as np
 MAX_LABEL = int(np.iinfo(np.int32).max)
 
 
-def _frozen_raster(values, dtype) -> np.ndarray:
-    """Copy `values` into a read-only 2-D array of `dtype`."""
-    arr = np.array(values, dtype=dtype)
+def _frozen_raster(values, dtype, high=None, name="values") -> np.ndarray:
+    """Copy `values` into a read-only 2-D array of `dtype`.
+
+    With `high` set, values must lie in [0, min(high, max of dtype)],
+    checked before the cast so that nothing wraps.
+    """
+    arr = np.asarray(values)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("raster must be 2-D with positive height and width")
+    if high is not None:
+        high = min(high, int(np.iinfo(dtype).max))
+        if arr.min() < 0:
+            raise ValueError(f"{name} must be non-negative")
+        if arr.max() > high:
+            raise ValueError(f"{name} must not exceed {high}")
+    arr = np.array(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _reach(height: int, width: int) -> int:
+    """Bound on every rounded-up center distance; its disk covers the raster."""
+    return math.isqrt((height - 1) ** 2 + (width - 1) ** 2) + 1
+
+
+def _overlap(box: Box, width: int, height: int):
+    """Where `box` meets a width x height raster, or None if it misses.
+
+    Returns (rows, columns) slice pairs in raster and in box coordinates.
+    """
+    x0, x1 = max(box.x0, 0), min(box.x1, width)
+    y0, y1 = max(box.y0, 0), min(box.y1, height)
+    if x0 >= x1 or y0 >= y1:
+        return None
+    on_raster = (slice(y0, y1), slice(x0, x1))
+    return on_raster, (slice(y0 - box.y0, y1 - box.y0), slice(x0 - box.x0, x1 - box.x0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,12 +90,8 @@ class LabelMap:
     labels: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_raster(self.labels, np.int64)
-        if (arr < 0).any():
-            raise ValueError("labels must be non-negative")
-        if (arr > MAX_LABEL).any():
-            raise ValueError(f"labels must not exceed {MAX_LABEL}")
-        object.__setattr__(self, "labels", _frozen_raster(arr, np.int32))
+        labels = _frozen_raster(self.labels, np.int32, MAX_LABEL, "labels")
+        object.__setattr__(self, "labels", labels)
 
     @property
     def height(self) -> int:
@@ -159,14 +185,11 @@ class BoxProposal:
                     f"canvas {width}x{height}"
                 )
             return 0, 0, self.mask.pixels
-        b = self.box
-        gx0, gx1 = max(b.x0, 0), min(b.x1, width)
-        gy0, gy1 = max(b.y0, 0), min(b.y1, height)
-        if gx0 >= gx1 or gy0 >= gy1:
+        part = _overlap(self.box, width, height)
+        if part is None:
             return 0, 0, self.mask.pixels[:0, :0]
-        return gx0, gy0, self.mask.pixels[
-            gy0 - b.y0 : gy1 - b.y0, gx0 - b.x0 : gx1 - b.x0
-        ]
+        (rows, cols), in_box = part
+        return cols.start, rows.start, self.mask.pixels[in_box]
 
     def canvas_mask(self, width: int, height: int) -> BinaryMask:
         """Materialize the proposal mask on a width x height canvas.
@@ -200,12 +223,10 @@ def crop_raster(raster: np.ndarray, box: Box, pad_value) -> np.ndarray:
     """
     h, w = raster.shape
     out = np.full((box.height, box.width), pad_value, dtype=raster.dtype)
-    gx0, gx1 = max(box.x0, 0), min(box.x1, w)
-    gy0, gy1 = max(box.y0, 0), min(box.y1, h)
-    if gx0 < gx1 and gy0 < gy1:
-        out[gy0 - box.y0 : gy1 - box.y0, gx0 - box.x0 : gx1 - box.x0] = raster[
-            gy0:gy1, gx0:gx1
-        ]
+    part = _overlap(box, w, h)
+    if part is not None:
+        on_raster, in_box = part
+        out[in_box] = raster[on_raster]
     return out
 
 
@@ -242,8 +263,7 @@ def resize_nearest(mask: BinaryMask, out_width: int, out_height: int) -> BinaryM
 def rasterize_box(box: Box, width: int, height: int) -> BinaryMask:
     """Mask of the box interior on a width x height canvas, clipped."""
     out = np.zeros((height, width), dtype=bool)
-    gx0, gx1 = max(box.x0, 0), min(box.x1, width)
-    gy0, gy1 = max(box.y0, 0), min(box.y1, height)
-    if gx0 < gx1 and gy0 < gy1:
-        out[gy0:gy1, gx0:gx1] = True
+    part = _overlap(box, width, height)
+    if part is not None:
+        out[part[0]] = True
     return BinaryMask(out)

@@ -159,9 +159,7 @@ class TestEncodeWindow:
 
             num, den = spec.min_scale_fraction()
             pre_cap = max(13, math.ceil(Fraction(13 * den, num)))
-            window = edt_with_external_boundary(
-                crop(mask, box), mask, box, pre_cap
-            ).values
+            window = edt_with_external_boundary(mask, box, pre_cap).values
             resized = resize_nearest_raster(window, nw, nh)
             scale = Fraction(num, den)
             want = np.array(

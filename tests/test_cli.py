@@ -1,5 +1,6 @@
 import shutil
 import subprocess
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,43 @@ class TestBoxsim:
             "--box", "4,4,28", "--out", tmp_path / "o.csv",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "sweep, cells",
+        [
+            (["--shift-range=-100000000:100000000:1"], 200000001**2),
+            (["--shift-range=0:10000000000000000000000:1"], (10**22 + 1) ** 2),
+            (["--shrink-range=0:1000:1", "--shift-range=0:9:1"], 1001 * 100),
+        ],
+    )
+    def test_oversized_sweep_rejected_before_allocation(
+        self, tmp_path, disk_pgm, capsys, sweep, cells
+    ):
+        out = tmp_path / "o.csv"
+        tracemalloc.start()
+        try:
+            code = run(
+                "boxsim", "--labels", disk_pgm, "--id", 1,
+                "--box", "4,4,28,28", *sweep, "--out", out,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20
+        assert f"sweep of {cells} cells exceeds the limit of 100000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_at_the_limit_is_accepted(self, monkeypatch, tmp_path, disk_pgm):
+        # 2 x 3^2 = 18 cells; a limit of 18 must admit them
+        monkeypatch.setattr("dtmask.cli.MAX_SWEEP_CELLS", 18)
+        out = tmp_path / "o.csv"
+        code = run(
+            "boxsim", "--labels", disk_pgm, "--id", 1, "--box", "4,4,28,28",
+            "--shrink-range", "0:1:1", "--shift-range=-2:2:2", "--out", out,
+        )
+        assert code == 0
+        assert len(data_lines(out)) == 19
 
 
 def _eval_fixture(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from dtmask import (
     BinaryMask,
     Box,
+    TruncatedDistanceMap,
     boundary_set,
     brute_force_edt,
     crop,
@@ -79,10 +81,23 @@ class TestTruncatedEdt:
         rng = np.random.default_rng(29)
         for _ in range(200):
             m = BinaryMask(rng.random((32, 32)) < rng.uniform(0.1, 0.95))
-            for cap in (1, 5, 20):
+            for cap in (1, 5, 20, 10**9, 2**31 - 1):
                 fast = truncated_edt(m, cap)
                 ref = brute_force_edt(m, cap)
                 assert np.array_equal(fast.values, ref.values)
+
+    def test_huge_cap_allocates_no_squares_table(self):
+        # the table of squares stops at the raster's reach, not at the cap
+        m = disk_mask(64, 64, 32, 32, 20)
+        truncated_edt(m, 5)  # warm up imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            d = truncated_edt(m, 2**31 - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert np.array_equal(d.values, brute_force_edt(m, 2**31 - 1).values)
 
     def test_rejects_bad_cap(self):
         m = BinaryMask(np.ones((2, 2), dtype=bool))
@@ -125,6 +140,18 @@ class TestTruncatedEdt:
         assert (np.diff(ray) <= 0).all()
 
 
+class TestTruncatedDistanceMap:
+    def test_values_beyond_int32_rejected_not_wrapped(self):
+        with pytest.raises(ValueError, match="exceed 2147483647"):
+            TruncatedDistanceMap(np.array([[2**32, 1]]), 2**33)
+
+    def test_values_beyond_cap_or_negative_rejected(self):
+        with pytest.raises(ValueError, match="exceed 5"):
+            TruncatedDistanceMap(np.array([[6, 1]]), 5)
+        with pytest.raises(ValueError, match="non-negative"):
+            TruncatedDistanceMap(np.array([[-1, 1]]), 5)
+
+
 class TestBruteForceEdt:
     def test_empty_object_all_zero(self):
         d = brute_force_edt(BinaryMask(np.zeros((6, 9), dtype=bool)), 5)
@@ -147,14 +174,14 @@ class TestExternalBoundary:
     def test_window_with_margin_equals_plain_transform(self):
         m = disk_mask(32, 32, 16, 16, 6)
         box = Box(4, 4, 28, 28)  # margin 6 >= radius cap
-        out = edt_with_external_boundary(crop(m, box), m, box, 5)
+        out = edt_with_external_boundary(m, box, 5)
         plain = truncated_edt(crop(m, box), 5)
         assert np.array_equal(out.values, plain.values)
 
     def test_cut_disk_keeps_true_distances(self):
         m = disk_mask(32, 32, 16, 16, 10)
         box = Box(8, 8, 16, 24)  # right edge slices through the center column
-        out = edt_with_external_boundary(crop(m, box), m, box, 13)
+        out = edt_with_external_boundary(m, box, 13)
         # window pixel on the disk diameter at the cut: its in-window
         # distance to the box edge is 0 but the true boundary is far
         assert out.values[8, 7] >= 9
@@ -164,20 +191,12 @@ class TestExternalBoundary:
 
     def test_all_background_zero(self):
         m = BinaryMask(np.zeros((16, 16), dtype=bool))
-        out = edt_with_external_boundary(
-            crop(m, Box(2, 2, 10, 10)), m, Box(2, 2, 10, 10), 4
-        )
+        out = edt_with_external_boundary(m, Box(2, 2, 10, 10), 4)
         assert not out.values.any()
-
-    def test_inconsistent_window_rejected(self):
-        m = disk_mask(16, 16, 8, 8, 5)
-        wrong = BinaryMask(np.zeros((8, 8), dtype=bool))
-        with pytest.raises(ValueError, match="crop"):
-            edt_with_external_boundary(wrong, m, Box(4, 4, 12, 12), 5)
 
     def test_out_of_image_window_pixels_read_zero(self):
         m = disk_mask(16, 16, 8, 8, 6)
         box = Box(-4, -4, 12, 12)
-        out = edt_with_external_boundary(crop(m, box), m, box, 8)
+        out = edt_with_external_boundary(m, box, 8)
         assert not out.values[:4, :].any()
         assert not out.values[:, :4].any()
