@@ -55,17 +55,9 @@ class WindowSpec:
         if self.norm_width < 1 or self.norm_height < 1:
             raise ValueError("normalized window dimensions must be >= 1")
 
-    @property
-    def scale_x(self) -> float:
-        return self.norm_width / self.box.width
-
-    @property
-    def scale_y(self) -> float:
-        return self.norm_height / self.box.height
-
     def min_scale_fraction(self) -> tuple[int, int]:
-        """min(scale_x, scale_y) as an exact (numerator, denominator) pair."""
-        # scale_x <= scale_y iff norm_width * box.height <= norm_height * box.width
+        """min(norm_width / box.width, norm_height / box.height) as an exact
+        (numerator, denominator) pair."""
         if self.norm_width * self.box.height <= self.norm_height * self.box.width:
             return self.norm_width, self.box.width
         return self.norm_height, self.box.height
@@ -153,8 +145,8 @@ def encode_window(
 
     Pipeline: full-grid distance transform against the true boundary of
     `full_mask`, crop to the box, nearest resize to the normalized
-    size, scale values by min(scale_x, scale_y) with an exact integer
-    ceiling, truncate at the scheme cap, quantize.
+    size, scale values by `spec.min_scale_fraction()` with an exact
+    integer ceiling, truncate at the scheme cap, quantize.
 
     The full-grid transform runs with a raised cap so that downscaling
     (scale < 1) still sees values that only drop below the scheme cap
@@ -182,7 +174,7 @@ def decode_to_canvas(
 
     Each set bit maps to the image pixel its normalized cell was
     sampled from, and paints a disk of radius round-half-up(r_n / s)
-    where s = min(scale_x, scale_y), shrunk by one in conservative
+    where s = `spec.min_scale_fraction()`, shrunk by one in conservative
     mode.  Disks extend beyond the box freely and are clipped only at
     the canvas edge.
     """

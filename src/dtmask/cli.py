@@ -8,6 +8,7 @@ internal failure.
 
 from __future__ import annotations
 
+import argparse
 import statistics
 import sys
 import time
@@ -52,6 +53,14 @@ from .io import (
 
 # Largest boxsim sweep, in cells: checked before any perturbation is built.
 MAX_SWEEP_CELLS = 100_000
+# Largest raster or bit-plane stack that encode, boxsim and bench may
+# build, in cells: checked before it is allocated.
+MAX_CELLS = 2**26
+
+
+def _check_cells(what: str, cells: int, limit: int) -> None:
+    if cells > limit:
+        raise ValueError(f"{what} of {cells} cells exceeds the limit of {limit}")
 
 
 def _fmt(v) -> str:
@@ -66,6 +75,18 @@ def _provenance(command: str, **settings) -> list[str]:
     """Header lines echoing the effective settings of one invocation."""
     pairs = " ".join(f"{k}={_fmt(v)}" for k, v in settings.items())
     return [f"dtmask {command} v{__version__}", pairs]
+
+
+def _arg(parse):
+    """An argparse type that reports the parser's ValueError message."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def _parse_box(text: str) -> Box:
@@ -115,14 +136,14 @@ def _parse_optional_iou(text: str) -> float | None:
 
 def cmd_dt(args) -> int:
     mask = read_mask(args.infile)
-    transform = brute_force_edt if args.oracle else truncated_edt
-    dmap = transform(mask, args.radius)
-    write_dtm(args.out, dmap, _provenance("dt", radius=args.radius, oracle=args.oracle))
+    dmap = truncated_edt(mask, args.radius)
+    write_dtm(args.out, dmap, _provenance("dt", radius=args.radius))
     return 0
 
 
 def cmd_encode(args) -> int:
     mask = read_mask(args.infile)
+    _check_cells("bit-plane stack", args.bins * mask.height * mask.width, MAX_CELLS)
     scheme = make_uniform_scheme(args.bins, args.radius)
     stack = encode(truncated_edt(mask, args.radius), scheme)
     write_bps(args.out, stack, _provenance("encode", bins=args.bins, radius=args.radius))
@@ -160,12 +181,13 @@ def cmd_boxsim(args) -> int:
     shrinks, shifts = (
         (r.stop - r.start - 1) // r.step + 1 for r in (args.shrink_range, args.shift_range)
     )
-    cells = shrinks * shifts**2
-    if cells > MAX_SWEEP_CELLS:
-        raise ValueError(f"sweep of {cells} cells exceeds the limit of {MAX_SWEEP_CELLS}")
+    _check_cells("sweep", shrinks * shifts**2, MAX_SWEEP_CELLS)
+    base_box = args.box
+    _check_cells("box", base_box.box_area, MAX_CELLS)
+    window = base_box.box_area if args.norm is None else args.norm[0] * args.norm[1]
+    _check_cells("window stack", args.bins * window, MAX_CELLS)
     label_map = read_label_map(args.labels)
     mask = extract_instance(label_map, args.id)
-    base_box = args.box
     perturbations = []
     for shrink in args.shrink_range:
         scale = shrink_perturbation(base_box, shrink)
@@ -240,6 +262,8 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         raise ValueError(f"reps must be >= 1, got {args.reps}")
     sizes = args.sizes
+    for size in sizes:
+        _check_cells("bench mask", size * size, MAX_CELLS)
     rows = []
     oracle_rate = None  # seconds per (pixel, Q-pixel) pair from the largest oracle run
     measurements = []
@@ -308,8 +332,6 @@ def cmd_bench(args) -> int:
 
 
 def build_parser():
-    import argparse
-
     parser = argparse.ArgumentParser(
         prog="dtmask",
         description="Truncated-distance-transform mask codec and evaluation tools",
@@ -320,11 +342,6 @@ def build_parser():
     p.add_argument("--in", dest="infile", required=True, help="input mask (PBM)")
     p.add_argument("--radius", type=int, default=13, help="truncation radius")
     p.add_argument("--out", required=True, help="output distance map (DTM)")
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="use the brute-force reference implementation",
-    )
     p.set_defaults(func=cmd_dt)
 
     p = sub.add_parser("encode", help="encode a mask into bit planes")
@@ -355,16 +372,18 @@ def build_parser():
     p = sub.add_parser("boxsim", help="box-perturbation robustness sweep")
     p.add_argument("--labels", required=True, help="ground-truth label map (PGM)")
     p.add_argument("--id", type=int, required=True, help="instance id")
-    p.add_argument("--box", type=_parse_box, required=True, help="base box x0,y0,x1,y1")
+    p.add_argument(
+        "--box", type=_arg(_parse_box), required=True, help="base box x0,y0,x1,y1"
+    )
     p.add_argument(
         "--shrink-range",
-        type=_parse_range,
+        type=_arg(_parse_range),
         default="0:0:1",
         help="per-side shrink sweep start:stop:step",
     )
     p.add_argument(
         "--shift-range",
-        type=_parse_range,
+        type=_arg(_parse_range),
         default="0:0:1",
         help="center shift sweep start:stop:step (applied to dx and dy)",
     )
@@ -373,7 +392,7 @@ def build_parser():
     p.add_argument("--mode", choices=DECODE_MODES, default="conservative")
     p.add_argument(
         "--norm",
-        type=_parse_norm,
+        type=_arg(_parse_norm),
         default="native",
         help="normalized window size WxH, or 'native' for unit scale",
     )
@@ -383,11 +402,11 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate proposals against a label map")
     p.add_argument("--proposals", required=True, help="proposal list file")
     p.add_argument("--gt", required=True, help="ground-truth label map (PGM)")
-    p.add_argument("--ar-n", type=_parse_ints, default="10,100,1000")
-    p.add_argument("--ap-iou", type=_parse_floats, default="0.5,0.7")
+    p.add_argument("--ar-n", type=_arg(_parse_ints), default="10,100,1000")
+    p.add_argument("--ap-iou", type=_arg(_parse_floats), default="0.5,0.7")
     p.add_argument(
         "--box-nms",
-        type=_parse_optional_iou,
+        type=_arg(_parse_optional_iou),
         default=str(DEFAULT_BOX_NMS_IOU),
         help="box NMS IoU threshold, or 'none'",
     )
@@ -399,7 +418,7 @@ def build_parser():
     )
     p.add_argument(
         "--nms",
-        type=_parse_optional_iou,
+        type=_arg(_parse_optional_iou),
         default=str(DEFAULT_MASK_NMS_IOU),
         help="mask NMS IoU threshold, or 'none'",
     )
@@ -407,7 +426,7 @@ def build_parser():
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="time the fast transform against the oracle")
-    p.add_argument("--sizes", type=_parse_ints, default="128,256,512")
+    p.add_argument("--sizes", type=_arg(_parse_ints), default="128,256,512")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--radius", type=int, default=13)
     p.add_argument("--seed", type=int, default=0)

@@ -61,19 +61,6 @@ class QuantizationScheme:
             )
         object.__setattr__(self, "radii", radii)
 
-    def bin_of(self, value: int) -> int:
-        """1-based bin index of a distance value in [0, radius_cap]."""
-        if not (0 <= value <= self.radius_cap):
-            raise ValueError(f"value {value} outside [0, {self.radius_cap}]")
-        lo, hi = 0, self.bins - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.radii[mid] <= value:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1
-
 
 def make_uniform_scheme(bins: int, radius_cap: int) -> QuantizationScheme:
     """Uniformly spaced radius table with bin 1 reserved for value 0.
@@ -230,9 +217,7 @@ def _painted_radius(bin_radius: int, mode: str) -> int | None:
         raise ValueError(f"unknown decode mode {mode!r}")
     if bin_radius == 0:
         return None
-    if mode == "conservative":
-        return bin_radius - 1 if bin_radius >= 1 else None
-    return bin_radius
+    return bin_radius - 1 if mode == "conservative" else bin_radius
 
 
 def encode(dmap: TruncatedDistanceMap, scheme: QuantizationScheme) -> BitPlaneStack:

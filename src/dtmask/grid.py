@@ -210,9 +210,10 @@ def extract_instance(label_map: LabelMap, instance_id: int) -> BinaryMask:
     """Binary mask of one instance of a label map."""
     if instance_id <= 0:
         raise ValueError(f"instance id must be positive, got {instance_id}")
-    if instance_id not in label_map.instance_ids():
+    pixels = label_map.labels == instance_id
+    if not pixels.any():
         raise ValueError(f"instance id {instance_id} not present in label map")
-    return BinaryMask(label_map.labels == instance_id)
+    return BinaryMask(pixels)
 
 
 def crop_raster(raster: np.ndarray, box: Box, pad_value) -> np.ndarray:

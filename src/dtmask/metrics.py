@@ -17,7 +17,7 @@ mask is built for a box-anchored proposal.  The result equals
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -338,14 +338,13 @@ def nms(
 
 @dataclass
 class EvalReport:
-    """Bundle of evaluation results plus the configuration that made them."""
+    """Bundle of evaluation results."""
 
     num_ground_truth: int
     num_proposals: int
     curve: list[tuple[float, float]]
     ar_at_n: dict[int, float]
     ap_at: dict[float, float]
-    settings: dict[str, object] = field(default_factory=dict)
 
 
 def evaluate(
@@ -353,15 +352,13 @@ def evaluate(
     gts: Sequence[BinaryMask],
     ar_ns: Sequence[int] = (10, 100, 1000),
     ap_ious: Sequence[float] = (0.5, 0.7),
-    curve_thresholds: Sequence[float] = AR_IOU_THRESHOLDS,
-    settings: dict[str, object] | None = None,
 ) -> EvalReport:
     """Recall curve, AR@N, and AP in one pass over shared matching.
 
     The proposal x ground-truth IoU matrix is built once; AR@N reads
-    its top-n rows in score order, and the curve and AP read it whole.
+    its top-n rows in score order, and the curve (recall at each of
+    `AR_IOU_THRESHOLDS`) and AP read it whole.
     """
-    _check_ascending(curve_thresholds)
     mat = _proposal_gt_matrix(proposals, gts)
     for n in ar_ns:
         _check_budget(n)
@@ -369,8 +366,7 @@ def evaluate(
     return EvalReport(
         num_ground_truth=len(gts),
         num_proposals=len(proposals),
-        curve=_recall_curve(mat, order, curve_thresholds),
+        curve=_recall_curve(mat, order, AR_IOU_THRESHOLDS),
         ar_at_n={n: _average_recall(mat, order, n) for n in ar_ns},
         ap_at={t: _average_precision(mat, order, t) for t in ap_ious},
-        settings=dict(settings or {}),
     )

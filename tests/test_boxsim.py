@@ -27,7 +27,7 @@ from dtmask import (
     shrink_perturbation,
     truncated_edt,
 )
-from dtmask.grid import resize_nearest_raster
+from dtmask.grid import _reach, crop_raster, resize_nearest_raster
 
 from helpers import (
     decode_to_canvas_oracle,
@@ -41,8 +41,6 @@ from helpers import (
 class TestWindowSpec:
     def test_scale_properties(self):
         spec = WindowSpec(Box(0, 0, 14, 7), 28, 28)
-        assert spec.scale_x == 2.0
-        assert spec.scale_y == 4.0
         assert spec.min_scale_fraction() == (28, 14)
 
     def test_fraction_matches_float_min(self):
@@ -170,6 +168,29 @@ class TestEncodeWindow:
             )
             got = encode(TruncatedDistanceMap(want, 13), scheme)
             assert np.array_equal(stack.planes, got.planes)
+
+    def test_any_transform_cap_at_or_above_pre_cap_gives_the_same_window(self):
+        # min(ceil(v * num / den), cap) is monotone in v and already equals
+        # cap at v = pre_cap, so an untruncated transform (cap = reach)
+        # needs no clip to pre_cap before scaling.
+        rng = np.random.default_rng(113)
+        for _ in range(300):
+            mask = random_mask(rng, min_size=1, max_size=40)
+            scheme = random_scheme(rng)
+            cap = scheme.radius_cap
+            h, w = mask.pixels.shape
+            x0 = int(rng.integers(-8, w + 4))
+            y0 = int(rng.integers(-8, h + 4))
+            box = Box(x0, y0, x0 + int(rng.integers(1, 48)), y0 + int(rng.integers(1, 48)))
+            nw, nh = int(rng.integers(1, 41)), int(rng.integers(1, 41))
+            spec = WindowSpec(box, nw, nh)
+            num, den = spec.min_scale_fraction()
+            full = truncated_edt(mask, max(cap, _reach(h, w))).values
+            window = resize_nearest_raster(crop_raster(full, box, 0), nw, nh)
+            values = np.minimum((window.astype(np.int64) * num + den - 1) // den, cap)
+            want = encode(TruncatedDistanceMap(values, cap), scheme)
+            got = encode_window(mask, spec, scheme)
+            assert np.array_equal(got.planes, want.planes)
 
 
 def _two_bin_stack(size, radius, bits):

@@ -64,14 +64,7 @@ class TestDt:
         run("dt", "--in", disk_pbm, "--out", out)
         header = comment_lines(out)
         assert header[0].startswith("# dtmask dt v")
-        assert header[1] == "# radius=13 oracle=False"
-
-    def test_oracle_flag_changes_nothing_but_the_header(self, tmp_path, disk_pbm):
-        fast = tmp_path / "fast.dtm"
-        slow = tmp_path / "slow.dtm"
-        assert run("dt", "--in", disk_pbm, "--radius", 7, "--out", fast) == 0
-        assert run("dt", "--in", disk_pbm, "--radius", 7, "--oracle", "--out", slow) == 0
-        assert data_lines(fast) == data_lines(slow)
+        assert header[1] == "# radius=13"
 
     def test_missing_input(self, tmp_path):
         assert run("dt", "--in", tmp_path / "no.pbm", "--out", tmp_path / "o") == 2
@@ -271,6 +264,52 @@ class TestBoxsim:
         assert len(data_lines(out)) == 19
 
 
+class TestCellLimit:
+    @pytest.mark.parametrize(
+        "command, flags, what, cells",
+        [
+            ("encode", ["--bins", 10**6, "--radius", 10**6], "bit-plane stack", 10**6 * 64**2),
+            ("boxsim", ["--box", "0,0,1000000,1000000"], "box", 10**12),
+            ("boxsim", ["--box", "0,0,1000000,1000000", "--norm", "28x28"], "box", 10**12),
+            (
+                "boxsim",
+                ["--box", "4,4,28,28", "--norm", "100000x100000"],
+                "window stack",
+                5 * 10**10,
+            ),
+            ("bench", ["--sizes", "8,100000"], "bench mask", 10**10),
+        ],
+    )
+    def test_oversized_input_rejected_before_allocation(
+        self, tmp_path, disk_pgm, capsys, command, flags, what, cells
+    ):
+        mask = tmp_path / "m.pbm"
+        write_mask(mask, BinaryMask(np.ones((64, 64), dtype=bool)))
+        inputs = {
+            "encode": ["--in", mask],
+            "boxsim": ["--labels", disk_pgm, "--id", 1],
+            "bench": [],
+        }
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = run(command, *inputs[command], *flags, "--out", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20
+        assert f"{what} of {cells} cells exceeds the limit of {2**26}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cells_at_the_limit_are_accepted(self, monkeypatch, tmp_path, disk_pbm):
+        # 5 bins x 32 x 32 = 5120 cells
+        monkeypatch.setattr("dtmask.cli.MAX_CELLS", 5120)
+        assert run("encode", "--in", disk_pbm, "--out", tmp_path / "a.bps") == 0
+        monkeypatch.setattr("dtmask.cli.MAX_CELLS", 5119)
+        assert run("encode", "--in", disk_pbm, "--out", tmp_path / "b.bps") == 2
+
+
 def _eval_fixture(tmp_path):
     labels = np.zeros((24, 24), dtype=int)
     labels[2:10, 2:10] = 1
@@ -404,6 +443,28 @@ class TestExitCodes:
             "--shrink-range", "0:4:0", "--out", tmp_path / "o.csv",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["boxsim", "--shift-range", "0:1:0"], "range step must be >= 1"),
+            (["boxsim", "--box", "0,0,4"], "box must be x0,y0,x1,y1"),
+            (["boxsim", "--box", "5,5,1,1"], "degenerate box"),
+            (["eval", "--ap-iou", "0.5,x"], "could not convert string to float"),
+            (["eval", "--nms", "2"], "IoU threshold must lie in [0, 1]"),
+        ],
+    )
+    def test_argument_errors_name_the_reason(self, tmp_path, capsys, argv, message):
+        inputs = {
+            "boxsim": ["--labels", "l.pgm", "--id", 1, "--box", "4,4,28,28"],
+            "eval": ["--proposals", "p.txt", "--gt", "g.pgm"],
+        }
+        command, *flags = argv
+        code = run(command, *inputs[command], *flags, "--out", tmp_path / "o.csv")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert "invalid" not in err
 
 
 def test_console_script_is_installed():

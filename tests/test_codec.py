@@ -45,22 +45,6 @@ class TestQuantizationScheme:
         with pytest.raises(ValueError):
             QuantizationScheme(1, 3, (0,))
 
-    def test_bin_of_matches_searchsorted(self):
-        rng = np.random.default_rng(43)
-        for _ in range(50):
-            scheme = random_scheme(rng)
-            radii = np.asarray(scheme.radii)
-            for v in range(scheme.radius_cap + 1):
-                want = int(np.searchsorted(radii, v, side="right"))
-                assert scheme.bin_of(v) == want
-
-    def test_bin_of_range_checked(self):
-        scheme = make_uniform_scheme(3, 5)
-        with pytest.raises(ValueError):
-            scheme.bin_of(6)
-        with pytest.raises(ValueError):
-            scheme.bin_of(-1)
-
 
 class TestMakeUniformScheme:
     def test_binary_scheme(self):

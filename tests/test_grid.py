@@ -138,6 +138,18 @@ class TestExtractInstance:
         with pytest.raises(ValueError):
             extract_instance(lm, 0)
 
+    def test_no_instance_id_scan_per_call(self, monkeypatch):
+        def scan(self):
+            raise AssertionError("instance_ids() called")
+
+        monkeypatch.setattr(LabelMap, "instance_ids", scan)
+        lm = LabelMap(np.array([[1, 0], [0, 2]]))
+        assert np.array_equal(
+            extract_instance(lm, 2).pixels, np.array([[False, False], [False, True]])
+        )
+        with pytest.raises(ValueError, match="instance id 3 not present in label map"):
+            extract_instance(lm, 3)
+
     def test_union_and_disjointness(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

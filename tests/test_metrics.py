@@ -334,13 +334,12 @@ class TestEvaluate:
     def test_report_fields(self):
         gts = [bar(20, 0, 8), bar(20, 10, 18)]
         props = [bar_proposal(20, 0, 8, 0.9), bar_proposal(20, 10, 18, 0.8)]
-        report = evaluate(props, gts, settings={"top": 300})
+        report = evaluate(props, gts)
         assert report.num_ground_truth == 2
         assert report.num_proposals == 2
         assert report.curve == [(t, 1.0) for t in AR_IOU_THRESHOLDS]
         assert report.ar_at_n == {10: 1.0, 100: 1.0, 1000: 1.0}
         assert report.ap_at == {0.5: 1.0, 0.7: 1.0}
-        assert report.settings == {"top": 300}
 
 
 def _random_canvas_mask(rng, h, w):
