@@ -5,7 +5,9 @@ A window around an instance is normalized to a fixed size, encoded
 against the true object boundary of the full image (so a box cutting
 the object still sees large distances at the cut), decoded back onto
 the full canvas where disks may extend past the box, and compared with
-the instance interior both with and without clipping to the box.
+the instance interior both with and without clipping to the box.  The
+full-image transform is the same for every box of a sweep, so a sweep
+computes it once, untruncated, and cuts each window from it.
 
 Every numeric step that affects rasters runs in integer arithmetic:
 the normalization scale is carried as an exact fraction, value scaling
@@ -26,10 +28,12 @@ from .grid import (
     Box,
     _nearest_indices,
     _overlap,
+    _reach,
+    crop_raster,
     rasterize_box,
     resize_nearest_raster,
 )
-from .edt import TruncatedDistanceMap, edt_with_external_boundary, interior_mask
+from .edt import TruncatedDistanceMap, interior_mask, truncated_edt
 from .codec import (
     BitPlaneStack,
     QuantizationScheme,
@@ -139,28 +143,28 @@ def shrink_perturbation(box: Box, pixels: int) -> Perturbation:
 
 
 def encode_window(
-    full_mask: BinaryMask, spec: WindowSpec, scheme: QuantizationScheme
+    full: TruncatedDistanceMap, spec: WindowSpec, scheme: QuantizationScheme
 ) -> BitPlaneStack:
     """Ground-truth encoding of a normalized window.
 
-    Pipeline: full-grid distance transform against the true boundary of
-    `full_mask`, crop to the box, nearest resize to the normalized
-    size, scale values by `spec.min_scale_fraction()` with an exact
-    integer ceiling, truncate at the scheme cap, quantize.
-
-    The full-grid transform runs with a raised cap so that downscaling
-    (scale < 1) still sees values that only drop below the scheme cap
-    after scaling; truncating at the scheme cap up front would lose
-    them.
+    `full` is the untruncated transform of the whole image,
+    `truncated_edt(mask, grid._reach(h, w))`, so a box cutting the
+    object still sees distances to the true object boundary.  Pipeline:
+    crop `full` to the box (out-of-image pixels read 0), nearest resize
+    to the normalized size, scale values by `spec.min_scale_fraction()`
+    with an exact integer ceiling, truncate at the scheme cap, quantize.
+    A transform capped below its reach is rejected, since a downscaled
+    window would read its capped values as true distances.
     """
+    reach = _reach(full.height, full.width)
+    if full.radius_cap < reach:
+        raise ValueError(f"transform is capped at {full.radius_cap}, below its reach {reach}")
     num, den = spec.min_scale_fraction()
-    cap = scheme.radius_cap
-    pre_cap = max(cap, (cap * den + num - 1) // num)
-    window_values = edt_with_external_boundary(full_mask, spec.box, pre_cap).values
-    resized = resize_nearest_raster(window_values, spec.norm_width, spec.norm_height)
+    window = crop_raster(full.values, spec.box, 0)
+    resized = resize_nearest_raster(window, spec.norm_width, spec.norm_height)
     scaled = (resized.astype("int64") * num + den - 1) // den
-    values = scaled.clip(max=cap)
-    return encode(TruncatedDistanceMap(values, cap), scheme)
+    cap = scheme.radius_cap
+    return encode(TruncatedDistanceMap(scaled.clip(max=cap), cap), scheme)
 
 
 def decode_to_canvas(
@@ -200,13 +204,17 @@ def decode_to_canvas(
         if painted < 0 or ys.size == 0:
             continue
         # Scatter the mapped centres into a local raster spanning their
-        # bounding box padded by the painted radius, so no disk is cut.
+        # bounding box padded by the painted radius, cut to the bounding
+        # box of the canvas and the centres.  The cut is exact: it keeps
+        # every centre and every canvas pixel a disk can reach, and
+        # `_disk_sum` clamps the radius to the local raster's reach.
         cy, cx = map_y[ys], map_x[xs]
+        x0, y0, x1, y1 = int(cx.min()), int(cy.min()), int(cx.max()) + 1, int(cy.max()) + 1
         span = Box(
-            int(cx.min()) - painted,
-            int(cy.min()) - painted,
-            int(cx.max()) + painted + 1,
-            int(cy.max()) + painted + 1,
+            max(x0 - painted, min(x0, 0)),
+            max(y0 - painted, min(y0, 0)),
+            min(x1 + painted, max(x1, canvas_width)),
+            min(y1 + painted, max(y1, canvas_height)),
         )
         local = np.zeros((span.height, span.width), dtype=bool)
         local[cy - span.y0, cx - span.x0] = True
@@ -235,13 +243,14 @@ def robustness_sweep(
         scheme = make_uniform_scheme(5, 13)
     target = interior_mask(full_mask)
     height, width = full_mask.pixels.shape
+    full = truncated_edt(full_mask, _reach(height, width))
 
     records = []
     for pert in perturbations:
         box = perturb_box(base_box, pert)
         norm_w, norm_h = norm_size if norm_size is not None else (box.width, box.height)
         spec = WindowSpec(box, norm_w, norm_h)
-        stack = encode_window(full_mask, spec, scheme)
+        stack = encode_window(full, spec, scheme)
         beyond = decode_to_canvas(stack, spec, width, height, mode)
         inside = BinaryMask(beyond.pixels & rasterize_box(box, width, height).pixels)
         records.append(

@@ -249,16 +249,15 @@ def read_proposals(path) -> list[BoxProposal]:
     return out
 
 
-def write_proposals(path, proposals, mask_dir=None, comments=()) -> None:
+def write_proposals(path, proposals, comments=()) -> None:
     """Write proposals; masks go to sibling PBM files when present.
 
-    `mask_dir` defaults to "<path without extension>_masks", created on
-    demand; mask references in the list file are relative to it.
+    Masks go to "<path without extension>_masks", created on demand;
+    mask references in the list file are relative to its directory.
     """
     path = os.fspath(path)
     base = os.path.dirname(os.path.abspath(path))
-    if mask_dir is None:
-        mask_dir = os.path.splitext(path)[0] + "_masks"
+    mask_dir = os.path.splitext(path)[0] + "_masks"
     lines = _comment_lines(comments)
     for i, p in enumerate(proposals):
         b = p.box

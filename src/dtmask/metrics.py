@@ -248,23 +248,11 @@ def top_scoring(proposals: Sequence[BoxProposal], n: int) -> list[BoxProposal]:
 
 
 def average_recall(
-    proposals: Sequence[BoxProposal],
-    gts: Sequence[BinaryMask],
-    n: int,
-    area_range: tuple[int, int] | None = None,
+    proposals: Sequence[BoxProposal], gts: Sequence[BinaryMask], n: int
 ) -> float:
-    """Mean recall of the top-n proposals over the standard IoU grid.
-
-    `area_range` optionally restricts ground truths to pixel areas in
-    [lo, hi); an empty selection is an error rather than a silent 0.
-    """
+    """Mean recall of the top-n proposals over the standard IoU grid."""
     _check_budget(n)
     _canvas_shape(gts)
-    if area_range is not None:
-        lo, hi = area_range
-        gts = [g for g in gts if lo <= g.area < hi]
-        if not gts:
-            raise ValueError(f"no ground truths with area in [{lo}, {hi})")
     mat = _proposal_gt_matrix(proposals, gts)
     return _average_recall(mat, _score_order(proposals), n)
 

@@ -19,10 +19,12 @@ from dtmask import (
     TruncatedDistanceMap,
     SoftDecodeParams,
     box_iou,
+    edt_with_external_boundary,
+    encode,
     mask_iou,
 )
 from dtmask.codec import _disk_element, _painted_radius
-from dtmask.grid import MAX_LABEL
+from dtmask.grid import MAX_LABEL, resize_nearest_raster
 
 
 def disk_raster(h, w, cy, cx, r):
@@ -149,6 +151,21 @@ def decode_to_canvas_oracle(
                 x0 - cx + painted : x1 - cx + painted,
             ]
     return BinaryMask(canvas)
+
+
+def encode_window_oracle(full_mask, spec, scheme) -> BitPlaneStack:
+    """Reference window encode: one full-grid transform per window.
+
+    The transform is capped at pre_cap, the smallest cap whose scaled
+    value still reaches the scheme cap, so downscaling loses nothing.
+    """
+    num, den = spec.min_scale_fraction()
+    cap = scheme.radius_cap
+    pre_cap = max(cap, (cap * den + num - 1) // num)
+    window = edt_with_external_boundary(full_mask, spec.box, pre_cap).values
+    resized = resize_nearest_raster(window, spec.norm_width, spec.norm_height)
+    values = np.minimum((resized.astype(np.int64) * num + den - 1) // den, cap)
+    return encode(TruncatedDistanceMap(values, cap), scheme)
 
 
 def _score_order_oracle(proposals):

@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dtmask.boxsim
+import dtmask.edt
 from dtmask import (
     BinaryMask,
     BitPlaneStack,
@@ -23,19 +25,27 @@ from dtmask import (
     make_uniform_scheme,
     mask_iou,
     perturb_box,
+    rasterize_box,
     robustness_sweep,
     shrink_perturbation,
     truncated_edt,
 )
-from dtmask.grid import _reach, crop_raster, resize_nearest_raster
+from dtmask.grid import _reach, resize_nearest_raster
 
 from helpers import (
     decode_to_canvas_oracle,
     disk_mask,
+    encode_window_oracle,
     random_mask,
     random_scheme,
     tight_box,
 )
+
+
+def untruncated(mask: BinaryMask) -> TruncatedDistanceMap:
+    """The full-image transform `encode_window` cuts its windows from."""
+    h, w = mask.pixels.shape
+    return truncated_edt(mask, _reach(h, w))
 
 
 class TestWindowSpec:
@@ -108,7 +118,7 @@ class TestEncodeWindow:
         mask = disk_mask(32, 32, 16, 16, 8)
         box = Box(4, 4, 28, 28)
         scheme = make_uniform_scheme(5, 13)
-        got = encode_window(mask, WindowSpec(box, box.width, box.height), scheme)
+        got = encode_window(untruncated(mask), WindowSpec(box, box.width, box.height), scheme)
         want = encode(truncated_edt(crop(mask, box), 13), scheme)
         assert np.array_equal(got.planes, want.planes)
 
@@ -118,7 +128,7 @@ class TestEncodeWindow:
         mask = disk_mask(32, 32, 16, 16, 10)
         box = Box(8, 8, 16, 24)
         scheme = make_uniform_scheme(5, 13)
-        stack = encode_window(mask, WindowSpec(box, box.width, box.height), scheme)
+        stack = encode_window(untruncated(mask), WindowSpec(box, box.width, box.height), scheme)
         radii = np.asarray(scheme.radii)
         rep = (radii[:, None, None] * stack.planes).sum(axis=0)
         assert rep[8, 7] >= 7
@@ -126,7 +136,7 @@ class TestEncodeWindow:
     def test_background_window_lands_in_first_bin(self):
         mask = disk_mask(32, 32, 8, 8, 3)
         stack = encode_window(
-            mask, WindowSpec(Box(20, 20, 28, 28), 8, 8), make_uniform_scheme(5, 13)
+            untruncated(mask), WindowSpec(Box(20, 20, 28, 28), 8, 8), make_uniform_scheme(5, 13)
         )
         assert stack.planes[0].all()
 
@@ -136,7 +146,7 @@ class TestEncodeWindow:
         # truncating at 13 up front would scale to 10 instead
         mask = disk_mask(48, 48, 24, 24, 20)
         spec = WindowSpec(Box(4, 4, 44, 44), 28, 28)
-        stack = encode_window(mask, spec, make_uniform_scheme(13, 13))
+        stack = encode_window(untruncated(mask), spec, make_uniform_scheme(13, 13))
         radii = np.asarray(stack.scheme.radii)
         rep = (radii[:, None, None] * stack.planes).sum(axis=0)
         assert rep[14, 14] == 12
@@ -153,7 +163,7 @@ class TestEncodeWindow:
                       int(rng.integers(y0 + 4, h + 3)))
             nw, nh = int(rng.integers(4, 32)), int(rng.integers(4, 32))
             spec = WindowSpec(box, nw, nh)
-            stack = encode_window(mask, spec, scheme)
+            stack = encode_window(untruncated(mask), spec, scheme)
 
             num, den = spec.min_scale_fraction()
             pre_cap = max(13, math.ceil(Fraction(13 * den, num)))
@@ -171,26 +181,29 @@ class TestEncodeWindow:
 
     def test_any_transform_cap_at_or_above_pre_cap_gives_the_same_window(self):
         # min(ceil(v * num / den), cap) is monotone in v and already equals
-        # cap at v = pre_cap, so an untruncated transform (cap = reach)
-        # needs no clip to pre_cap before scaling.
+        # cap at v = pre_cap, so the untruncated transform (cap = reach)
+        # gives the window the oracle's per-window pre_cap transform gives.
         rng = np.random.default_rng(113)
         for _ in range(300):
             mask = random_mask(rng, min_size=1, max_size=40)
             scheme = random_scheme(rng)
-            cap = scheme.radius_cap
             h, w = mask.pixels.shape
             x0 = int(rng.integers(-8, w + 4))
             y0 = int(rng.integers(-8, h + 4))
             box = Box(x0, y0, x0 + int(rng.integers(1, 48)), y0 + int(rng.integers(1, 48)))
             nw, nh = int(rng.integers(1, 41)), int(rng.integers(1, 41))
             spec = WindowSpec(box, nw, nh)
-            num, den = spec.min_scale_fraction()
-            full = truncated_edt(mask, max(cap, _reach(h, w))).values
-            window = resize_nearest_raster(crop_raster(full, box, 0), nw, nh)
-            values = np.minimum((window.astype(np.int64) * num + den - 1) // den, cap)
-            want = encode(TruncatedDistanceMap(values, cap), scheme)
-            got = encode_window(mask, spec, scheme)
+            got = encode_window(untruncated(mask), spec, scheme)
+            want = encode_window_oracle(mask, spec, scheme)
             assert np.array_equal(got.planes, want.planes)
+
+    def test_transform_capped_below_reach_rejected(self):
+        mask = disk_mask(32, 32, 16, 16, 10)
+        spec = WindowSpec(Box(4, 4, 28, 28), 28, 28)
+        scheme = make_uniform_scheme(5, 13)
+        encode_window(truncated_edt(mask, _reach(32, 32)), spec, scheme)
+        with pytest.raises(ValueError, match="below its reach 44"):
+            encode_window(truncated_edt(mask, 43), spec, scheme)
 
 
 def _two_bin_stack(size, radius, bits):
@@ -230,9 +243,29 @@ class TestDecodeToCanvas:
             spec = WindowSpec(box, *norm)
             if case % 4 < 2:
                 scheme = make_uniform_scheme(5, 13) if case % 8 < 4 else random_scheme(rng)
-                stack = encode_window(mask, spec, scheme)
+                stack = encode_window(untruncated(mask), spec, scheme)
             else:
                 scheme = random_scheme(rng)
+                idx = rng.integers(0, scheme.bins, size=(norm[1], norm[0]))
+                stack = BitPlaneStack(idx == np.arange(scheme.bins)[:, None, None], scheme)
+            for mode in ("conservative", "literal"):
+                got = decode_to_canvas(stack, spec, w, h, mode)
+                want = decode_to_canvas_oracle(stack, spec, w, h, mode)
+                assert np.array_equal(got.pixels, want.pixels)
+        # tiny windows on boxes larger than the canvas, often off it,
+        # paint disks far wider than the canvas from centres beyond it
+        for case in range(40):
+            mask = random_mask(rng, min_size=1, max_size=20)
+            h, w = mask.pixels.shape
+            bw, bh = int(rng.integers(w + 6, 2 * w + 13)), int(rng.integers(h + 6, 2 * h + 13))
+            x0, y0 = int(rng.integers(-bw, w)), int(rng.integers(-bh, h))
+            box = Box(x0, y0, x0 + bw, y0 + bh)
+            norm = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            spec = WindowSpec(box, *norm)
+            scheme = random_scheme(rng)
+            if case % 2:
+                stack = encode_window(untruncated(mask), spec, scheme)
+            else:
                 idx = rng.integers(0, scheme.bins, size=(norm[1], norm[0]))
                 stack = BitPlaneStack(idx == np.arange(scheme.bins)[:, None, None], scheme)
             for mode in ("conservative", "literal"):
@@ -321,6 +354,48 @@ class TestRobustnessSweep:
             assert 0.0 <= rec.iou_inside <= 1.0
             assert rec.iou_beyond > 0.5
 
+    def test_matches_per_window_oracle_on_seeded_sweeps(self):
+        # shrinks change the box size and so, at 28x28, the per-window
+        # pre_cap of the oracle; shifts up to the canvas size push boxes
+        # off the canvas
+        rng = np.random.default_rng(131)
+        for case in range(24):
+            mask = random_mask(rng, min_size=8, max_size=40)
+            h, w = mask.pixels.shape
+            scheme = random_scheme(rng) if case % 4 < 2 else make_uniform_scheme(5, 13)
+            norm = None if case % 2 else (28, 28)
+            x0, y0 = int(rng.integers(-4, w - 4)), int(rng.integers(-4, h - 4))
+            base = Box(x0, y0, x0 + int(rng.integers(6, w + 9)), y0 + int(rng.integers(6, h + 9)))
+            d = int(rng.integers(1, max(w, h) + 1))
+            perts = [
+                Perturbation(dx=dx, dy=dy, sx=scale.sx, sy=scale.sy)
+                for scale in (shrink_perturbation(base, p) for p in range(3))
+                for dx, dy in ((0, 0), (d, 0), (0, -d), (-d, d))
+            ]
+            records = robustness_sweep(mask, base, perts, scheme, norm)
+            target = interior_mask(mask)
+            for pert, rec in zip(perts, records):
+                box = perturb_box(base, pert)
+                spec = WindowSpec(box, *(norm or (box.width, box.height)))
+                beyond = decode_to_canvas(encode_window_oracle(mask, spec, scheme), spec, w, h)
+                inside = beyond.pixels & rasterize_box(box, w, h).pixels
+                assert rec.iou_beyond == mask_iou(beyond, target)
+                assert rec.iou_inside == mask_iou(BinaryMask(inside), target)
+
+    def test_one_transform_per_sweep(self, monkeypatch):
+        caps = []
+
+        def counting_edt(mask, radius_cap):
+            caps.append(radius_cap)
+            return truncated_edt(mask, radius_cap)
+
+        for module in (dtmask.edt, dtmask.boxsim):
+            monkeypatch.setattr(module, "truncated_edt", counting_edt, raising=False)
+        mask = disk_mask(40, 40, 20, 20, 12)
+        perts = [Perturbation(dx=dx, sx=s, sy=s) for dx in (-3, 0, 3) for s in (0.8, 1.0)]
+        robustness_sweep(mask, tight_box(mask), perts, norm_size=(28, 28))
+        assert caps == [_reach(40, 40)]
+
     def test_record_range_validated(self):
         with pytest.raises(ValueError):
             RobustnessRecord(0, 0, 1.0, 1.0, 1.2, 0.5)
@@ -331,7 +406,7 @@ def test_clipping_matches_manual_intersection():
     box = Box(10, 6, 22, 26)
     scheme = make_uniform_scheme(5, 13)
     spec = WindowSpec(box, box.width, box.height)
-    stack = encode_window(mask, spec, scheme)
+    stack = encode_window(untruncated(mask), spec, scheme)
     beyond = decode_to_canvas(stack, spec, 32, 32)
     clipped = np.zeros((32, 32), dtype=bool)
     clipped[box.y0 : box.y1, box.x0 : box.x1] = beyond.pixels[

@@ -212,6 +212,25 @@ class TestBoxsim:
         assert code == 0
         assert "norm=14x14" in comment_lines(out)[1]
 
+    def test_tiny_norm_on_oversized_box_stays_small(self, tmp_path):
+        # a 1x1 window on an 864-pixel box paints disks thousands of
+        # pixels wide; the decode raster must stay near the canvas size
+        labels = tmp_path / "disk64.pgm"
+        write_label_map(labels, LabelMap(disk_raster(64, 64, 32, 32, 20).astype(int)))
+        out = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            code = run(
+                "boxsim", "--labels", labels, "--id", 1, "--box=-400,-400,464,464",
+                "--norm", "1x1", "--out", out,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 2**20
+        assert data_lines(out)[1] == "0,0,1.0,1.0,0.279541015625,0.279541015625"
+
     def test_unknown_instance(self, tmp_path, disk_pgm):
         code = run(
             "boxsim", "--labels", disk_pgm, "--id", 9,

@@ -246,15 +246,6 @@ class TestAverageRecall:
             values = [average_recall(props, gts, n) for n in (1, 2, 4, 8)]
             assert all(a <= b for a, b in zip(values, values[1:]))
 
-    def test_area_range_restricts_ground_truths(self):
-        gts = [bar(30, 0, 4), bar(30, 10, 26)]  # areas 4 and 16
-        props = [bar_proposal(30, 0, 4, 0.9)]
-        assert average_recall(props, gts, 10) == 0.5
-        assert average_recall(props, gts, 10, area_range=(1, 10)) == 1.0
-        assert average_recall(props, gts, 10, area_range=(10, 100)) == 0.0
-        with pytest.raises(ValueError, match="area"):
-            average_recall(props, gts, 10, area_range=(100, 200))
-
 
 class TestAveragePrecision:
     def test_perfect_single(self):
