@@ -7,12 +7,12 @@ the object still sees large distances at the cut), decoded back onto
 the full canvas where disks may extend past the box, and compared with
 the instance interior both with and without clipping to the box.  The
 full-image transform is the same for every box of a sweep, so a sweep
-computes it once, untruncated, and cuts each window from it.
+computes it once, untruncated, and samples each window's cells from it.
 
 Every numeric step that affects rasters runs in integer arithmetic:
 the normalization scale is carried as an exact fraction, value scaling
-uses integer ceiling division, and painted disk radii use integer
-round-half-up.  Records are therefore reproducible bit for bit.
+uses integer ceiling division, and painted disk radii use the codec's
+integer round-half-up.  Records are therefore reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -26,19 +26,18 @@ import numpy as np
 from .grid import (
     BinaryMask,
     Box,
-    _nearest_indices,
+    _nearest_pixels,
     _overlap,
     _reach,
-    crop_raster,
     rasterize_box,
-    resize_nearest_raster,
+    sample_raster,
 )
 from .edt import TruncatedDistanceMap, interior_mask, truncated_edt
 from .codec import (
     BitPlaneStack,
     QuantizationScheme,
     _disk_sum,
-    DECODE_MODES,
+    _painted_radius,
     encode,
     make_uniform_scheme,
 )
@@ -150,9 +149,10 @@ def encode_window(
     `full` is the untruncated transform of the whole image,
     `truncated_edt(mask, grid._reach(h, w))`, so a box cutting the
     object still sees distances to the true object boundary.  Pipeline:
-    crop `full` to the box (out-of-image pixels read 0), nearest resize
-    to the normalized size, scale values by `spec.min_scale_fraction()`
-    with an exact integer ceiling, truncate at the scheme cap, quantize.
+    sample `full` at the box pixels nearest the normalized cells (off the
+    image they read 0; memory follows the window, not the box), scale
+    values by `spec.min_scale_fraction()` with an exact integer ceiling,
+    truncate at the scheme cap, quantize.
     A transform capped below its reach is rejected, since a downscaled
     window would read its capped values as true distances.
     """
@@ -160,9 +160,8 @@ def encode_window(
     if full.radius_cap < reach:
         raise ValueError(f"transform is capped at {full.radius_cap}, below its reach {reach}")
     num, den = spec.min_scale_fraction()
-    window = crop_raster(full.values, spec.box, 0)
-    resized = resize_nearest_raster(window, spec.norm_width, spec.norm_height)
-    scaled = (resized.astype("int64") * num + den - 1) // den
+    window = sample_raster(full.values, spec.box, spec.norm_width, spec.norm_height, 0)
+    scaled = (window.astype("int64") * num + den - 1) // den
     cap = scheme.radius_cap
     return encode(TruncatedDistanceMap(scaled.clip(max=cap), cap), scheme)
 
@@ -176,33 +175,25 @@ def decode_to_canvas(
 ) -> BinaryMask:
     """Paint decoded disks back onto the full image canvas.
 
-    Each set bit maps to the image pixel its normalized cell was
-    sampled from, and paints a disk of radius round-half-up(r_n / s)
-    where s = `spec.min_scale_fraction()`, shrunk by one in conservative
-    mode.  Disks extend beyond the box freely and are clipped only at
-    the canvas edge.
+    Each set bit maps to the image pixel `encode_window` sampled its
+    cell from, and paints the disk `codec._painted_radius` gives its bin
+    at the scale `spec.min_scale_fraction()`.  Disks extend beyond the
+    box freely and are clipped only at the canvas edge.
     """
-    if mode not in DECODE_MODES:
-        raise ValueError(f"unknown decode mode {mode!r}")
     if canvas_width < 1 or canvas_height < 1:
         raise ValueError("canvas dimensions must be >= 1")
     if (stack.height, stack.width) != (spec.norm_height, spec.norm_width):
         raise ValueError("stack dimensions do not match the normalized window")
     num, den = spec.min_scale_fraction()
     box = spec.box
-    # Inverse of the nearest-resize sampling: normalized cell -> source pixel.
-    map_x = box.x0 + _nearest_indices(box.width, spec.norm_width)
-    map_y = box.y0 + _nearest_indices(box.height, spec.norm_height)
+    map_x = _nearest_pixels(box.x0, box.width, spec.norm_width)
+    map_y = _nearest_pixels(box.y0, box.height, spec.norm_height)
     canvas = np.zeros((canvas_height, canvas_width), dtype=bool)
     for plane, bin_radius in zip(stack.planes, stack.scheme.radii):
-        if bin_radius == 0:
+        painted = _painted_radius(bin_radius, mode, num, den)
+        if painted is None or not plane.any():
             continue
-        # round-half-up of bin_radius * den / num in exact integers
-        rho = (2 * bin_radius * den + num) // (2 * num)
-        painted = rho - 1 if mode == "conservative" else rho
         ys, xs = np.nonzero(plane)
-        if painted < 0 or ys.size == 0:
-            continue
         # Scatter the mapped centres into a local raster spanning their
         # bounding box padded by the painted radius, cut to the bounding
         # box of the canvas and the centres.  The cut is exact: it keeps

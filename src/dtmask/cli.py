@@ -112,10 +112,6 @@ def _parse_ints(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p]
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p]
-
-
 def _parse_norm(text: str) -> tuple[int, int] | None:
     if text == "native":
         return None
@@ -125,13 +121,19 @@ def _parse_norm(text: str) -> tuple[int, int] | None:
     return int(w), int(h)
 
 
-def _parse_optional_iou(text: str) -> float | None:
-    if text == "none":
-        return None
+def _parse_iou(text: str) -> float:
     t = float(text)
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"IoU threshold must lie in [0, 1], got {t}")
     return t
+
+
+def _parse_ious(text: str) -> list[float]:
+    return [_parse_iou(p) for p in text.split(",") if p]
+
+
+def _parse_optional_iou(text: str) -> float | None:
+    return None if text == "none" else _parse_iou(text)
 
 
 def cmd_dt(args) -> int:
@@ -403,7 +405,7 @@ def build_parser():
     p.add_argument("--proposals", required=True, help="proposal list file")
     p.add_argument("--gt", required=True, help="ground-truth label map (PGM)")
     p.add_argument("--ar-n", type=_arg(_parse_ints), default="10,100,1000")
-    p.add_argument("--ap-iou", type=_arg(_parse_floats), default="0.5,0.7")
+    p.add_argument("--ap-iou", type=_arg(_parse_ious), default="0.5,0.7")
     p.add_argument(
         "--box-nms",
         type=_arg(_parse_optional_iou),

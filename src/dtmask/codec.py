@@ -163,6 +163,10 @@ class SoftDecodeParams:
     def __post_init__(self):
         if not (0.0 < self.threshold < 1.0):
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
+        if not np.isfinite(self.weight).all():
+            raise ValueError(f"weight must be finite, got {self.weight}")
+        if not math.isfinite(self.bias):
+            raise ValueError(f"bias must be finite, got {self.bias}")
 
     def weights_for(self, bins: int) -> np.ndarray:
         if isinstance(self.weight, (int, float)):
@@ -205,19 +209,21 @@ def _disk_sum(plane: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
-def _painted_radius(bin_radius: int, mode: str) -> int | None:
+def _painted_radius(bin_radius: int, mode: str, num: int = 1, den: int = 1) -> int | None:
     """Disk radius actually painted for a bin, or None for nothing.
 
     Bin radius 0 encodes the source set itself and paints nothing.
-    Conservative mode shrinks every disk by one so painted pixels stay
-    strictly closer than the encoded distance; literal mode paints the
-    full bin radius.
+    Other radii scale by den / num, rounded half up.  Conservative mode
+    shrinks every disk by one so painted pixels stay strictly closer
+    than the encoded distance; literal mode paints the full radius.
     """
     if mode not in DECODE_MODES:
         raise ValueError(f"unknown decode mode {mode!r}")
     if bin_radius == 0:
         return None
-    return bin_radius - 1 if mode == "conservative" else bin_radius
+    rho = (2 * bin_radius * den + num) // (2 * num)
+    painted = rho - 1 if mode == "conservative" else rho
+    return painted if painted >= 0 else None
 
 
 def encode(dmap: TruncatedDistanceMap, scheme: QuantizationScheme) -> BitPlaneStack:
@@ -227,7 +233,8 @@ def encode(dmap: TruncatedDistanceMap, scheme: QuantizationScheme) -> BitPlaneSt
             f"scheme radius cap {scheme.radius_cap} does not match "
             f"distance map cap {dmap.radius_cap}"
         )
-    radii = np.asarray(scheme.radii, dtype=np.int32)
+    # Radii past int32 exceed every stored value: leave them out, uncast.
+    radii = np.array([r for r in scheme.radii if r <= np.iinfo(np.int32).max], dtype=np.int32)
     # Largest n with radii[n] <= value, vectorized over the raster.
     idx = np.searchsorted(radii, dmap.values, side="right") - 1
     planes = idx[None, :, :] == np.arange(scheme.bins)[:, None, None]

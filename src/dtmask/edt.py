@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grid import BinaryMask, Box, _frozen_raster, _reach, crop_raster
+from .grid import BinaryMask, Box, _frozen_raster, _reach, sample_raster
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,5 +147,5 @@ def edt_with_external_boundary(full_mask: BinaryMask, window: Box, radius_cap: i
     pixels are background and read 0.
     """
     full = truncated_edt(full_mask, radius_cap)
-    values = crop_raster(full.values, window, 0)
+    values = sample_raster(full.values, window, window.width, window.height, 0)
     return TruncatedDistanceMap(values, radius_cap)

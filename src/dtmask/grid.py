@@ -216,49 +216,42 @@ def extract_instance(label_map: LabelMap, instance_id: int) -> BinaryMask:
     return BinaryMask(pixels)
 
 
-def crop_raster(raster: np.ndarray, box: Box, pad_value) -> np.ndarray:
-    """Crop `box` out of a 2-D raster, padding out-of-range pixels.
+def _nearest_pixels(start: int, length: int, cells: int) -> np.ndarray:
+    # Pixel of [start, start + length) whose center is nearest each of
+    # `cells` cell centers: start + floor((i + 0.5) * length / cells).
+    return start + ((2 * np.arange(cells, dtype=np.int64) + 1) * length) // (2 * cells)
 
-    The output always has the box extent; pixels of the box that fall
-    outside the raster are filled with `pad_value`.
+
+def sample_raster(
+    raster: np.ndarray, box: Box, out_width: int, out_height: int, pad_value
+) -> np.ndarray:
+    """Nearest-neighbor sample of `box` onto an out_width x out_height grid.
+
+    Each cell copies the pixel whose center is nearest its own, ties
+    toward the lower index; cells whose pixel is off the raster read
+    `pad_value`.  Only the sampled pixels are gathered, never the box.
     """
+    if out_width < 1 or out_height < 1:
+        raise ValueError("resize target must have positive dimensions")
     h, w = raster.shape
-    out = np.full((box.height, box.width), pad_value, dtype=raster.dtype)
-    part = _overlap(box, w, h)
-    if part is not None:
-        on_raster, in_box = part
-        out[in_box] = raster[on_raster]
+    ys = _nearest_pixels(box.y0, box.height, out_height)
+    xs = _nearest_pixels(box.x0, box.width, out_width)
+    out = np.full((out_height, out_width), pad_value, dtype=raster.dtype)
+    # The pixel indices increase, so the cells on the raster form one block.
+    r0, r1 = np.searchsorted(ys, (0, h))
+    c0, c1 = np.searchsorted(xs, (0, w))
+    out[r0:r1, c0:c1] = raster[np.ix_(ys[r0:r1], xs[c0:c1])]
     return out
 
 
 def crop(mask: BinaryMask, box: Box, pad_value: bool = False) -> BinaryMask:
     """Crop a mask to a box; pixels outside the mask become `pad_value`."""
-    return BinaryMask(crop_raster(mask.pixels, box, pad_value))
-
-
-def _nearest_indices(n_in: int, n_out: int) -> np.ndarray:
-    # Source index whose center is nearest to each output pixel center:
-    # floor((i + 0.5) * n_in / n_out), kept in pure integer arithmetic.
-    return ((2 * np.arange(n_out, dtype=np.int64) + 1) * n_in) // (2 * n_out)
-
-
-def resize_nearest_raster(raster: np.ndarray, out_width: int, out_height: int) -> np.ndarray:
-    """Nearest-neighbor resample of a 2-D raster onto a new grid.
-
-    Output pixel (i, j) copies the input pixel whose center is nearest
-    to the output pixel center mapped back into input coordinates.  Ties
-    resolve toward the lower index via the floor in `_nearest_indices`.
-    """
-    if out_width < 1 or out_height < 1:
-        raise ValueError("resize target must have positive dimensions")
-    h, w = raster.shape
-    sy = _nearest_indices(h, out_height)
-    sx = _nearest_indices(w, out_width)
-    return raster[np.ix_(sy, sx)]
+    return BinaryMask(sample_raster(mask.pixels, box, box.width, box.height, pad_value))
 
 
 def resize_nearest(mask: BinaryMask, out_width: int, out_height: int) -> BinaryMask:
-    return BinaryMask(resize_nearest_raster(mask.pixels, out_width, out_height))
+    box = Box(0, 0, mask.width, mask.height)
+    return BinaryMask(sample_raster(mask.pixels, box, out_width, out_height, False))
 
 
 def rasterize_box(box: Box, width: int, height: int) -> BinaryMask:

@@ -19,12 +19,12 @@ from dtmask import (
     TruncatedDistanceMap,
     SoftDecodeParams,
     box_iou,
-    edt_with_external_boundary,
     encode,
     mask_iou,
+    truncated_edt,
 )
 from dtmask.codec import _disk_element, _painted_radius
-from dtmask.grid import MAX_LABEL, resize_nearest_raster
+from dtmask.grid import MAX_LABEL
 
 
 def disk_raster(h, w, cy, cx, r):
@@ -153,17 +153,38 @@ def decode_to_canvas_oracle(
     return BinaryMask(canvas)
 
 
+def crop_raster_oracle(raster, box, pad_value) -> np.ndarray:
+    """Reference crop: the whole box, pixels off the raster read `pad_value`."""
+    h, w = raster.shape
+    out = np.full((box.height, box.width), pad_value, dtype=raster.dtype)
+    x0, x1 = max(box.x0, 0), min(box.x1, w)
+    y0, y1 = max(box.y0, 0), min(box.y1, h)
+    if x0 < x1 and y0 < y1:
+        out[y0 - box.y0 : y1 - box.y0, x0 - box.x0 : x1 - box.x0] = raster[y0:y1, x0:x1]
+    return out
+
+
+def resize_nearest_raster_oracle(raster, out_width, out_height) -> np.ndarray:
+    """Reference nearest resize: cell i reads pixel floor((i + 0.5) * n_in / n_out)."""
+    h, w = raster.shape
+    sy = ((2 * np.arange(out_height, dtype=np.int64) + 1) * h) // (2 * out_height)
+    sx = ((2 * np.arange(out_width, dtype=np.int64) + 1) * w) // (2 * out_width)
+    return raster[np.ix_(sy, sx)]
+
+
 def encode_window_oracle(full_mask, spec, scheme) -> BitPlaneStack:
     """Reference window encode: one full-grid transform per window.
 
     The transform is capped at pre_cap, the smallest cap whose scaled
     value still reaches the scheme cap, so downscaling loses nothing.
+    The window is cropped whole, then resized.
     """
     num, den = spec.min_scale_fraction()
     cap = scheme.radius_cap
     pre_cap = max(cap, (cap * den + num - 1) // num)
-    window = edt_with_external_boundary(full_mask, spec.box, pre_cap).values
-    resized = resize_nearest_raster(window, spec.norm_width, spec.norm_height)
+    full = truncated_edt(full_mask, pre_cap).values
+    window = crop_raster_oracle(full, spec.box, 0)
+    resized = resize_nearest_raster_oracle(window, spec.norm_width, spec.norm_height)
     values = np.minimum((resized.astype(np.int64) * num + den - 1) // den, cap)
     return encode(TruncatedDistanceMap(values, cap), scheme)
 

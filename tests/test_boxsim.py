@@ -17,7 +17,6 @@ from dtmask import (
     WindowSpec,
     crop,
     decode_to_canvas,
-    edt_with_external_boundary,
     encode,
     encode_window,
     hard_decode,
@@ -30,20 +29,22 @@ from dtmask import (
     shrink_perturbation,
     truncated_edt,
 )
-from dtmask.grid import _reach, resize_nearest_raster
+from dtmask.grid import _reach
 
 from helpers import (
+    crop_raster_oracle,
     decode_to_canvas_oracle,
     disk_mask,
     encode_window_oracle,
     random_mask,
     random_scheme,
+    resize_nearest_raster_oracle,
     tight_box,
 )
 
 
 def untruncated(mask: BinaryMask) -> TruncatedDistanceMap:
-    """The full-image transform `encode_window` cuts its windows from."""
+    """The full-image transform `encode_window` samples its windows from."""
     h, w = mask.pixels.shape
     return truncated_edt(mask, _reach(h, w))
 
@@ -167,8 +168,8 @@ class TestEncodeWindow:
 
             num, den = spec.min_scale_fraction()
             pre_cap = max(13, math.ceil(Fraction(13 * den, num)))
-            window = edt_with_external_boundary(mask, box, pre_cap).values
-            resized = resize_nearest_raster(window, nw, nh)
+            window = crop_raster_oracle(truncated_edt(mask, pre_cap).values, box, 0)
+            resized = resize_nearest_raster_oracle(window, nw, nh)
             scale = Fraction(num, den)
             want = np.array(
                 [

@@ -103,6 +103,15 @@ class TestEncodeDecode:
         run("encode", "--in", disk_pbm, "--out", b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("radius", [2**32, 10**30])
+    def test_radius_beyond_int32(self, tmp_path, disk_pbm, radius):
+        # every stored value is far below the radius: the decode is the interior
+        bps = tmp_path / "d.bps"
+        out = tmp_path / "d.pbm"
+        assert run("encode", "--in", disk_pbm, "--radius", radius, "--out", bps) == 0
+        assert run("decode", "--in", bps, "--out", out) == 0
+        assert np.array_equal(read_mask(out).pixels, interior_mask(read_mask(disk_pbm)).pixels)
+
     def test_colliding_bins_rejected(self, tmp_path, disk_pbm):
         code = run(
             "encode", "--in", disk_pbm, "--bins", 5, "--radius", 1,
@@ -167,6 +176,17 @@ class TestSoftDecode:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--weight", "nan"), ("--weight", "inf"), ("--bias", "-inf")]
+    )
+    def test_non_finite_weight_or_bias_rejected(self, tmp_path, disk_pbm, capsys, flag, value):
+        bps = tmp_path / "d.bps"
+        run("encode", "--in", disk_pbm, "--out", bps)
+        out = tmp_path / "o.pbm"
+        assert run("softdecode", "--in", bps, f"{flag}={value}", "--out", out) == 2
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBoxsim:
     def test_identity_grid_single_perfect_row(self, tmp_path, disk_pgm):
@@ -230,6 +250,44 @@ class TestBoxsim:
         assert code == 0
         assert peak < 8 * 2**20
         assert data_lines(out)[1] == "0,0,1.0,1.0,0.279541015625,0.279541015625"
+
+    @pytest.mark.parametrize(
+        "norm, row",
+        [
+            # no 28x28 cell centre lands on the image: nothing is painted
+            ("28x28", "0,0,1.0,1.0,0.0,0.0"),
+            # cell 14 samples pixel (32, 32), whose disk covers the canvas
+            ("29x29", "0,0,1.0,1.0,0.279541015625,0.279541015625"),
+        ],
+    )
+    def test_window_memory_follows_the_window_not_the_box(self, tmp_path, norm, row):
+        # cropping the 4064^2 box whole before resizing took a 63.2 MiB peak
+        labels = tmp_path / "disk64.pgm"
+        write_label_map(labels, LabelMap(disk_raster(64, 64, 32, 32, 20).astype(int)))
+        out = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            code = run(
+                "boxsim", "--labels", labels, "--id", 1, "--box=-2000,-2000,2064,2064",
+                "--norm", norm, "--out", out,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * 2**20
+        assert data_lines(out) == ["dx,dy,sx,sy,iou_beyond,iou_inside", row]
+
+    @pytest.mark.parametrize("radius", [2**32, 10**30])
+    @pytest.mark.parametrize("norm", ["native", "28x28"])
+    def test_radius_beyond_int32(self, tmp_path, disk_pgm, radius, norm):
+        out = tmp_path / "sweep.csv"
+        code = run(
+            "boxsim", "--labels", disk_pgm, "--id", 1, "--box", "4,4,28,28",
+            "--radius", radius, "--norm", norm, "--out", out,
+        )
+        assert code == 0
+        assert f"radius={radius}" in comment_lines(out)[1]
 
     def test_unknown_instance(self, tmp_path, disk_pgm):
         code = run(
@@ -471,6 +529,9 @@ class TestExitCodes:
             (["boxsim", "--box", "5,5,1,1"], "degenerate box"),
             (["eval", "--ap-iou", "0.5,x"], "could not convert string to float"),
             (["eval", "--nms", "2"], "IoU threshold must lie in [0, 1]"),
+            (["eval", "--ap-iou=1.5"], "IoU threshold must lie in [0, 1], got 1.5"),
+            (["eval", "--ap-iou=-1"], "IoU threshold must lie in [0, 1], got -1.0"),
+            (["eval", "--ap-iou=0.5,nan"], "IoU threshold must lie in [0, 1], got nan"),
         ],
     )
     def test_argument_errors_name_the_reason(self, tmp_path, capsys, argv, message):
@@ -479,11 +540,13 @@ class TestExitCodes:
             "eval": ["--proposals", "p.txt", "--gt", "g.pgm"],
         }
         command, *flags = argv
-        code = run(command, *inputs[command], *flags, "--out", tmp_path / "o.csv")
+        out = tmp_path / "o.csv"
+        code = run(command, *inputs[command], *flags, "--out", out)
         err = capsys.readouterr().err
         assert code == 2
         assert message in err
         assert "invalid" not in err
+        assert not out.exists()
 
 
 def test_console_script_is_installed():

@@ -93,6 +93,15 @@ class TestEncode:
         assert stack.planes[0].all()
         assert not stack.planes[1:].any()
 
+    def test_radii_beyond_int32_are_searched_exactly(self):
+        # the largest stored value meets radius 2^31 - 1 but not 2^31
+        top = 2**31 - 1
+        values = np.array([[0, 1, top]])
+        for radii, want in (((0, 1, top), [0, 1, 2]), ((0, 1, top + 1), [0, 1, 1])):
+            cap = max(radii[-1], 10**30)
+            stack = encode(TruncatedDistanceMap(values, cap), QuantizationScheme(3, cap, radii))
+            assert stack.planes.argmax(axis=0).tolist() == [want]
+
     def test_cap_mismatch_rejected(self):
         dmap = TruncatedDistanceMap(np.zeros((2, 2), int), 5)
         with pytest.raises(ValueError, match="radius cap"):
@@ -282,6 +291,14 @@ class TestSoftDecode:
             SoftDecodeParams(threshold=0.0)
         with pytest.raises(ValueError):
             SoftDecodeParams(threshold=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"weight": np.nan}, {"weight": -np.inf}, {"weight": (1.0, np.inf)}, {"bias": np.nan}],
+    )
+    def test_non_finite_weight_and_bias_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be finite"):
+            SoftDecodeParams(**kwargs)
 
     def test_per_bin_weights(self):
         scheme = QuantizationScheme(2, 2, (0, 2))

@@ -11,9 +11,14 @@ from dtmask import (
     rasterize_box,
     resize_nearest,
 )
-from dtmask.grid import MAX_LABEL, crop_raster, resize_nearest_raster
+from dtmask.grid import MAX_LABEL, sample_raster
 
-from helpers import canvas_mask_oracle, random_mask
+from helpers import (
+    canvas_mask_oracle,
+    crop_raster_oracle,
+    random_mask,
+    resize_nearest_raster_oracle,
+)
 
 
 class TestBinaryMask:
@@ -263,8 +268,32 @@ class TestResizeNearest:
 
     def test_raster_variant_preserves_dtype(self):
         arr = np.arange(12, dtype=np.int32).reshape(3, 4)
-        out = resize_nearest_raster(arr, 8, 6)
+        out = sample_raster(arr, Box(0, 0, 4, 3), 8, 6, 0)
         assert out.dtype == np.int32 and out.shape == (6, 8)
+
+
+class TestSampleRaster:
+    def test_matches_resize_of_crop_oracle(self):
+        # boxes hang off every side and may exceed the raster; the sampler
+        # gathers only the sampled pixels, the oracles crop the whole box
+        rng = np.random.default_rng(131)
+        for trial in range(400):
+            h, w = (int(v) for v in rng.integers(1, 41, size=2))
+            if trial % 2:
+                raster = rng.random((h, w)) < 0.5
+                pad = bool(rng.integers(0, 2))
+            else:
+                raster = rng.integers(0, 1000, size=(h, w)).astype(np.int32)
+                pad = int(rng.integers(-5, 5))
+            x0 = int(rng.integers(-2 * w, 2 * w))
+            y0 = int(rng.integers(-2 * h, 2 * h))
+            box = Box(x0, y0, x0 + int(rng.integers(1, 3 * w + 1)),
+                      y0 + int(rng.integers(1, 3 * h + 1)))
+            ow, oh = (int(v) for v in rng.integers(1, 49, size=2))
+            got = sample_raster(raster, box, ow, oh, pad)
+            want = resize_nearest_raster_oracle(crop_raster_oracle(raster, box, pad), ow, oh)
+            assert got.dtype == raster.dtype
+            assert np.array_equal(got, want)
 
 
 def test_rasterize_box_clips():
@@ -276,5 +305,5 @@ def test_rasterize_box_clips():
 
 def test_crop_raster_pad_value_dtype():
     arr = np.arange(9, dtype=np.int64).reshape(3, 3)
-    out = crop_raster(arr, Box(2, 2, 5, 5), 7)
+    out = sample_raster(arr, Box(2, 2, 5, 5), 3, 3, 7)
     assert out[0, 0] == 8 and out[2, 2] == 7 and out.dtype == np.int64
