@@ -56,6 +56,10 @@ MAX_SWEEP_CELLS = 100_000
 # Largest raster or bit-plane stack that encode, boxsim and bench may
 # build, in cells: checked before it is allocated.
 MAX_CELLS = 2**26
+# Largest box coordinate, in magnitude.  A box's centre and half-extent
+# then stay below 2**51, where float64 still holds every half, and every
+# pixel index stays far inside int64.
+MAX_COORD = 2**50
 
 
 def _check_cells(what: str, cells: int, limit: int) -> None:
@@ -93,7 +97,11 @@ def _parse_box(text: str) -> Box:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"box must be x0,y0,x1,y1, got {text!r}")
-    return Box(*(int(p) for p in parts))
+    coords = [int(p) for p in parts]
+    for v in coords:
+        if abs(v) > MAX_COORD:
+            raise ValueError(f"box coordinates must lie in [-2**50, 2**50], got {v}")
+    return Box(*coords)
 
 
 def _parse_range(text: str) -> range:

@@ -10,6 +10,13 @@ literal decode (disk radius r) fills bins exactly.  A soft decoder
 accepts real-valued plane scores, sums disk-kernel responses through a
 sigmoid, and thresholds; on clean one-hot input it reproduces the hard
 decoder bit for bit.
+
+Every disk is painted by one primitive, `_disk_sum`.  Bool planes (bit
+planes, and 0/1 scores such as `corrupt` returns) are counted in the
+narrowest integer type that holds the largest possible count, int16
+for most radii; real-valued scores sum in float64.  A count of 0/1
+values is an integer that float64 holds exactly, so the soft decoder
+gives the same bits either way.
 """
 
 from __future__ import annotations
@@ -126,14 +133,20 @@ class BitPlaneStack:
 
 @dataclass(frozen=True, eq=False)
 class ProbPlaneStack:
-    """Per-bin real-valued scores in [0, 1], one plane per bin."""
+    """Per-bin real-valued scores in [0, 1], one plane per bin.
+
+    Bool planes stay bool: each score is exactly 0 or 1, and
+    `_disk_sum` counts them in a narrow integer type.  Any other input
+    is converted to float64 and must lie in [0, 1]; NaN is rejected.
+    """
 
     planes: np.ndarray
     scheme: QuantizationScheme
 
     def __post_init__(self):
-        arr = _frozen_planes(self.planes, np.float64, self.scheme.bins)
-        if (arr < 0.0).any() or (arr > 1.0).any():
+        dtype = bool if np.asarray(self.planes).dtype == bool else np.float64
+        arr = _frozen_planes(self.planes, dtype, self.scheme.bins)
+        if dtype is not bool and not ((arr >= 0.0) & (arr <= 1.0)).all():
             raise ValueError("plane scores must lie in [0, 1]")
         object.__setattr__(self, "planes", arr)
 
@@ -189,13 +202,23 @@ def _disk_sum(plane: np.ndarray, radius: int) -> np.ndarray:
     The disk is the union over dy in [-r, r] of row runs of half-width
     isqrt(r^2 - dy^2).  One row-wise prefix sum of the zero-padded plane
     turns every run into the difference of two shifted slices, so the
-    cost grows with r rather than with the disk area.  Bool planes sum
-    in int32, scores in float64.  Radii beyond the raster's reach are
-    clamped to it: every such disk already covers the whole raster.
+    cost grows with r rather than with the disk area.  Radii beyond the
+    raster's reach are clamped to it: every such disk already covers
+    the whole raster.
+
+    Float planes sum in float64.  A bool plane's count is at most
+    min((2r + 1)^2, h * w) with the clamped r: when that bound is at
+    most 32767 the plane is summed in int16, otherwise in int32.  The
+    int16 row prefix may wrap, but integer arithmetic is modular and
+    every result is a true count in [0, 32767], so the output is exact.
     """
     h, w = plane.shape
     r = min(radius, _reach(h, w))
-    dtype = np.float64 if plane.dtype.kind == "f" else np.int32
+    if plane.dtype.kind == "f":
+        dtype = np.float64
+    else:
+        bound = min((2 * r + 1) ** 2, h * w)
+        dtype = np.int16 if bound <= np.iinfo(np.int16).max else np.int32
     # Column c + r + 1 of `prefix` sums plane columns <= c of its row.
     prefix = np.zeros((h + 2 * r, w + 2 * r + 1), dtype=dtype)
     prefix[r : r + h, r + 1 : r + 1 + w] = plane
@@ -313,7 +336,8 @@ def soft_decode(
 def corrupt(stack: BitPlaneStack, flip_prob: float, seed: int) -> ProbPlaneStack:
     """Flip each bit independently with probability `flip_prob`.
 
-    Returns the result as 0/1 scores so it feeds the soft decoder; the
+    Returns the result as bool planes, scores of exactly 0 or 1, so it
+    feeds the soft decoder, which counts them in narrow integers; the
     flips are those of `numpy.random.default_rng(seed)`, making every
     corruption reproducible from (stack, flip_prob, seed).
     """
@@ -321,4 +345,4 @@ def corrupt(stack: BitPlaneStack, flip_prob: float, seed: int) -> ProbPlaneStack
         raise ValueError(f"flip probability must lie in [0, 1], got {flip_prob}")
     rng = np.random.default_rng(seed)
     flips = rng.random(stack.planes.shape) < flip_prob
-    return ProbPlaneStack((stack.planes ^ flips).astype(np.float64), stack.scheme)
+    return ProbPlaneStack(stack.planes ^ flips, stack.scheme)

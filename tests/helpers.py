@@ -116,8 +116,30 @@ def soft_decode_oracle(stack, params=None, mode="conservative") -> BinaryMask:
         if painted is None:
             continue
         kernel = _disk_element(painted).astype(np.float64)
-        total += w * ndimage.correlate(plane, kernel, mode="constant", cval=0.0)
+        # A bool input would make `correlate` return bool responses.
+        response = ndimage.correlate(
+            plane.astype(np.float64), kernel, mode="constant", cval=0.0
+        )
+        total += w * response
     return BinaryMask(expit(total) >= params.threshold)
+
+
+def disk_sum_oracle(plane, radius) -> np.ndarray:
+    """Reference disk sum, one set pixel at a time.
+
+    Every nonzero pixel q adds its value to each pixel p of the raster
+    with |p - q|^2 <= radius^2.  Counts come back as int64, float
+    scores as float64.  Meant for sparse planes.
+    """
+    h, w = plane.shape
+    out = np.zeros((h, w), dtype=np.float64 if plane.dtype.kind == "f" else np.int64)
+    ys, xs = np.arange(h), np.arange(w)
+    for qy, qx in zip(*np.nonzero(plane)):
+        y0, y1 = max(qy - radius, 0), min(qy + radius + 1, h)
+        x0, x1 = max(qx - radius, 0), min(qx + radius + 1, w)
+        d2 = (ys[y0:y1, None] - qy) ** 2 + (xs[None, x0:x1] - qx) ** 2
+        out[y0:y1, x0:x1] += plane[qy, qx] * (d2 <= radius * radius)
+    return out
 
 
 def decode_to_canvas_oracle(

@@ -19,7 +19,10 @@ from dtmask import (
     truncated_edt,
 )
 
+from dtmask.codec import _disk_sum
+
 from helpers import (
+    disk_sum_oracle,
     random_mask,
     random_one_hot,
     random_scheme,
@@ -212,6 +215,50 @@ class TestHardDecode:
             assert not (cons & ~lit).any()
 
 
+class TestDiskSum:
+    @pytest.mark.parametrize(
+        "shape, radius, density, dtype",
+        [
+            # (2r + 1)^2 = 32761 is the last disk bound int16 holds
+            ((200, 200), 90, 0.002, np.int16),
+            ((200, 200), 91, 0.002, np.int32),
+            # more than 32767 set bits in one row: the int16 prefix wraps
+            ((1, 40000), 5, 0.9, np.int16),
+            # h * w is past int16, the disk bound alone picks it
+            ((3, 15000), 90, 0.5, np.int16),
+            # a radius far past the reach is clamped to it
+            ((7, 5), 10**6, 0.5, np.int16),
+        ],
+    )
+    def test_bool_planes_match_oracle(self, shape, radius, density, dtype):
+        rng = np.random.default_rng(103)
+        plane = rng.random(shape) < density
+        got = _disk_sum(plane, radius)
+        assert got.dtype == dtype
+        assert np.array_equal(got, disk_sum_oracle(plane, radius))
+
+    def test_wrapping_row_really_wraps(self):
+        plane = np.random.default_rng(103).random((1, 40000)) < 0.9
+        assert plane.sum() > np.iinfo(np.int16).max
+
+    def test_dense_int16_counts_equal_float_sums(self):
+        plane = np.random.default_rng(107).random((200, 200)) < 0.9
+        got = _disk_sum(plane, 90)
+        assert got.dtype == np.int16
+        assert got.max() > 20000
+        assert np.array_equal(got, _disk_sum(plane.astype(np.float64), 90))
+
+    @pytest.mark.parametrize("radius", [0, 1, 4, 17, 10**6])
+    def test_float_planes_stay_exact(self, radius):
+        rng = np.random.default_rng(109)
+        # sixteenths sum exactly in float64 in any order
+        plane = rng.integers(0, 17, size=(30, 40)) / 16.0
+        plane[rng.random(plane.shape) < 0.8] = 0.0
+        got = _disk_sum(plane, radius)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, disk_sum_oracle(plane, radius))
+
+
 class TestRoundtrip:
     def test_interior_roundtrip_exact(self):
         rng = np.random.default_rng(61)
@@ -262,6 +309,37 @@ class TestSoftDecode:
                 assert np.array_equal(
                     soft_decode(prob, mode=mode).pixels,
                     hard_decode(stack, mode).pixels,
+                )
+
+    @pytest.mark.parametrize("flip_prob", [0.02, 0.3, 1.0])
+    def test_matches_oracle_on_corrupted_stacks(self, flip_prob):
+        rng = np.random.default_rng(113)
+        for _ in range(40):
+            scheme = random_scheme(rng)
+            prob = corrupt(random_one_hot(rng, scheme, max_size=24), flip_prob, 7)
+            per_bin = SoftDecodeParams(
+                weight=tuple(float(v) for v in rng.uniform(-2.0, 6.0, scheme.bins)),
+                bias=float(rng.uniform(-8.0, 0.0)),
+                threshold=float(rng.uniform(0.05, 0.95)),
+            )
+            for params in (SoftDecodeParams(), per_bin):
+                for mode in ("conservative", "literal"):
+                    assert np.array_equal(
+                        soft_decode(prob, params, mode).pixels,
+                        soft_decode_oracle(prob, params, mode).pixels,
+                    )
+
+    def test_bool_and_float_zero_one_scores_decode_alike(self):
+        rng = np.random.default_rng(127)
+        for _ in range(40):
+            scheme = random_scheme(rng)
+            prob = corrupt(random_one_hot(rng, scheme, max_size=24), 0.3, 11)
+            scores = ProbPlaneStack(prob.planes.astype(np.float64), scheme)
+            assert scores.planes.dtype == np.float64
+            for mode in ("conservative", "literal"):
+                assert np.array_equal(
+                    soft_decode(prob, mode=mode).pixels,
+                    soft_decode(scores, mode=mode).pixels,
                 )
 
     def test_matches_oracle_on_fractional_scores(self):
@@ -316,8 +394,23 @@ class TestSoftDecode:
         with pytest.raises(ValueError):
             ProbPlaneStack(np.full((2, 2, 2), 1.5), scheme)
 
+    @pytest.mark.parametrize("nan_at", [None, (1, 2, 0)])
+    def test_nan_scores_rejected(self, nan_at):
+        scores = np.full((2, 3, 3), np.nan)
+        if nan_at is not None:
+            scores = np.random.default_rng(131).random((2, 3, 3))
+            scores[nan_at] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ProbPlaneStack(scores, make_uniform_scheme(2, 3))
+
 
 class TestCorrupt:
+    def test_returns_bool_planes(self):
+        rng = np.random.default_rng(137)
+        stack = random_one_hot(rng, make_uniform_scheme(5, 13))
+        for flip_prob in (0.0, 0.3, 1.0):
+            assert corrupt(stack, flip_prob, 1).planes.dtype == bool
+
     def test_zero_flip_prob_is_identity(self):
         rng = np.random.default_rng(79)
         stack = random_one_hot(rng, make_uniform_scheme(5, 13))
