@@ -527,6 +527,11 @@ class TestExitCodes:
             (["boxsim", "--shift-range", "0:1:0"], "range step must be >= 1"),
             (["boxsim", "--box", "0,0,4"], "box must be x0,y0,x1,y1"),
             (["boxsim", "--box", "5,5,1,1"], "degenerate box"),
+            (["eval", "--ap-iou", "0.5,x"], "could not convert string to float"),
+            (["eval", "--nms", "2"], "IoU threshold must lie in [0, 1]"),
+            (["eval", "--ap-iou=1.5"], "IoU threshold must lie in [0, 1], got 1.5"),
+            (["eval", "--ap-iou=-1"], "IoU threshold must lie in [0, 1], got -1.0"),
+            (["eval", "--ap-iou=0.5,nan"], "IoU threshold must lie in [0, 1], got nan"),
             (
                 ["boxsim", "--box=100000000000000000000,0,100000000000000100000,1"],
                 "box coordinates must lie in [-2**50, 2**50], got 100000000000000000000",
@@ -535,11 +540,6 @@ class TestExitCodes:
                 ["boxsim", "--box=0,-1125899906842625,4,4"],
                 "box coordinates must lie in [-2**50, 2**50], got -1125899906842625",
             ),
-            (["eval", "--ap-iou", "0.5,x"], "could not convert string to float"),
-            (["eval", "--nms", "2"], "IoU threshold must lie in [0, 1]"),
-            (["eval", "--ap-iou=1.5"], "IoU threshold must lie in [0, 1], got 1.5"),
-            (["eval", "--ap-iou=-1"], "IoU threshold must lie in [0, 1], got -1.0"),
-            (["eval", "--ap-iou=0.5,nan"], "IoU threshold must lie in [0, 1], got nan"),
         ],
     )
     def test_argument_errors_name_the_reason(self, tmp_path, capsys, argv, message):
