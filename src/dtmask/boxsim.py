@@ -17,7 +17,6 @@ integer round-half-up.  Records are therefore reproducible bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -105,25 +104,25 @@ class RobustnessRecord:
             raise ValueError("IoU values must lie in [0, 1]")
 
 
-def _round_half_up(v: float) -> int:
-    return math.floor(v + 0.5)
-
-
 def perturb_box(box: Box, pert: Perturbation) -> Box:
     """Shift the box center and rescale its extent, then round.
 
-    Coordinates come from round-half-up of center +/- half-extent, so
-    sweeps reproduce identically across platforms.  A perturbation that
-    rounds the box to zero extent is an error.
+    Coordinates come from round-half-up of center +/- half-extent,
+    computed exactly in integers from each scale factor's binary
+    fraction, so sweeps reproduce identically across platforms and at
+    any shift.  A perturbation that rounds the box to zero extent is an
+    error.
     """
-    cx = (box.x0 + box.x1) / 2.0
-    cy = (box.y0 + box.y1) / 2.0
-    half_w = box.width * pert.sx / 2.0
-    half_h = box.height * pert.sy / 2.0
-    x0 = _round_half_up(cx + pert.dx - half_w)
-    x1 = _round_half_up(cx + pert.dx + half_w)
-    y0 = _round_half_up(cy + pert.dy - half_h)
-    y1 = _round_half_up(cy + pert.dy + half_h)
+
+    def side(lo: int, hi: int, shift: int, scale: float) -> tuple[int, int]:
+        # floor((lo + hi) / 2 + shift -/+ (hi - lo) * scale / 2 + 1 / 2)
+        num, den = float(scale).as_integer_ratio()
+        mid = den * (lo + hi + 2 * shift + 1)
+        half = (hi - lo) * num
+        return (mid - half) // (2 * den), (mid + half) // (2 * den)
+
+    x0, x1 = side(box.x0, box.x1, pert.dx, pert.sx)
+    y0, y1 = side(box.y0, box.y1, pert.dy, pert.sy)
     if x1 <= x0 or y1 <= y0:
         raise ValueError(f"perturbation collapses the box to ({x0}, {y0}, {x1}, {y1})")
     return Box(x0, y0, x1, y1)

@@ -1,14 +1,16 @@
 """Command-line front end: transforms, codecs, sweeps, eval, benchmarks.
 
-Every command is deterministic given its flags and seed, and every
-output file starts with comment lines echoing the effective run
-configuration.  Exit codes: 0 success, 2 input or usage error, 1
-internal failure.
+Every command is deterministic given its flags and seed.  Every output
+file starts with two comment lines: the command and version, then every
+flag except the file paths as key=value, in the order the flags are
+declared, built from the parsed arguments.  Exit codes: 0 success, 2
+input or usage error, 1 internal failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import statistics
 import sys
 import time
@@ -30,7 +32,7 @@ from .codec import (
     make_uniform_scheme,
     soft_decode,
 )
-from .boxsim import Perturbation, robustness_sweep, shrink_perturbation
+from .boxsim import Perturbation, RobustnessRecord, robustness_sweep, shrink_perturbation
 from .metrics import (
     DEFAULT_BOX_NMS_IOU,
     DEFAULT_MASK_NMS_IOU,
@@ -56,10 +58,17 @@ MAX_SWEEP_CELLS = 100_000
 # Largest raster or bit-plane stack that encode, boxsim and bench may
 # build, in cells: checked before it is allocated.
 MAX_CELLS = 2**26
-# Largest box coordinate, in magnitude.  A box's centre and half-extent
-# then stay below 2**51, where float64 still holds every half, and every
-# pixel index stays far inside int64.
+# Largest boxsim box coordinate and shift, in magnitude.  A perturbed
+# box's corners then stay below 2**52, so every pixel index computed
+# from them stays far inside int64.
 MAX_COORD = 2**50
+# Parsed arguments that are not settings: the subcommand, its handler
+# and the file paths.  Every other flag is echoed in the header.
+_NOT_SETTINGS = frozenset({"command", "func", "infile", "out", "labels", "proposals", "gt"})
+# Header keys that differ from the flag's dest.
+_HEADER_KEYS = {"nms": "mask_nms"}
+# The word a flag accepts for None, where it is not "none".
+_NONE_WORDS = {"norm": "native"}
 
 
 def _check_cells(what: str, cells: int, limit: int) -> None:
@@ -68,17 +77,28 @@ def _check_cells(what: str, cells: int, limit: int) -> None:
 
 
 def _fmt(v) -> str:
+    """A parsed setting in the syntax its flag accepts."""
     if isinstance(v, float):
         return repr(v)
-    if v is None:
-        return "none"
+    if isinstance(v, list):
+        return ",".join(map(_fmt, v))
+    if isinstance(v, tuple):  # --norm WxH
+        return "x".join(map(str, v))
+    if isinstance(v, range):  # _parse_range's inclusive stop
+        return f"{v.start}:{v.stop - 1}:{v.step}"
+    if isinstance(v, Box):
+        return f"{v.x0},{v.y0},{v.x1},{v.y1}"
     return str(v)
 
 
-def _provenance(command: str, **settings) -> list[str]:
-    """Header lines echoing the effective settings of one invocation."""
-    pairs = " ".join(f"{k}={_fmt(v)}" for k, v in settings.items())
-    return [f"dtmask {command} v{__version__}", pairs]
+def _provenance(args: argparse.Namespace) -> list[str]:
+    """Header lines echoing every setting of one invocation, in flag order."""
+    pairs = []
+    for key, value in vars(args).items():
+        if key not in _NOT_SETTINGS:
+            text = _NONE_WORDS.get(key, "none") if value is None else _fmt(value)
+            pairs.append(f"{_HEADER_KEYS.get(key, key)}={text}")
+    return [f"dtmask {args.command} v{__version__}", " ".join(pairs)]
 
 
 def _arg(parse):
@@ -120,6 +140,13 @@ def _parse_ints(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p]
 
 
+def _parse_count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise ValueError(f"count must be >= 0, got {n}")
+    return n
+
+
 def _parse_norm(text: str) -> tuple[int, int] | None:
     if text == "native":
         return None
@@ -147,7 +174,7 @@ def _parse_optional_iou(text: str) -> float | None:
 def cmd_dt(args) -> int:
     mask = read_mask(args.infile)
     dmap = truncated_edt(mask, args.radius)
-    write_dtm(args.out, dmap, _provenance("dt", radius=args.radius))
+    write_dtm(args.out, dmap, _provenance(args))
     return 0
 
 
@@ -156,14 +183,14 @@ def cmd_encode(args) -> int:
     _check_cells("bit-plane stack", args.bins * mask.height * mask.width, MAX_CELLS)
     scheme = make_uniform_scheme(args.bins, args.radius)
     stack = encode(truncated_edt(mask, args.radius), scheme)
-    write_bps(args.out, stack, _provenance("encode", bins=args.bins, radius=args.radius))
+    write_bps(args.out, stack, _provenance(args))
     return 0
 
 
 def cmd_decode(args) -> int:
     stack = read_bps(args.infile)
     mask = hard_decode(stack, args.mode)
-    write_mask(args.out, mask, _provenance("decode", mode=args.mode))
+    write_mask(args.out, mask, _provenance(args))
     return 0
 
 
@@ -172,17 +199,7 @@ def cmd_softdecode(args) -> int:
     prob = corrupt(stack, args.flip_prob, args.seed)
     params = SoftDecodeParams(args.weight, args.bias, args.threshold)
     mask = soft_decode(prob, params, args.mode)
-    header = _provenance(
-        "softdecode",
-        flip_prob=args.flip_prob,
-        seed=args.seed,
-        weight=args.weight,
-        bias=args.bias,
-        threshold=args.threshold,
-        mode=args.mode,
-        lax=args.lax,
-    )
-    write_mask(args.out, mask, header)
+    write_mask(args.out, mask, _provenance(args))
     return 0
 
 
@@ -192,6 +209,9 @@ def cmd_boxsim(args) -> int:
         (r.stop - r.start - 1) // r.step + 1 for r in (args.shrink_range, args.shift_range)
     )
     _check_cells("sweep", shrinks * shifts**2, MAX_SWEEP_CELLS)
+    for shift in (args.shift_range[0], args.shift_range[-1]):
+        if abs(shift) > MAX_COORD:
+            raise ValueError(f"shifts must lie in [-2**50, 2**50], got {shift}")
     base_box = args.box
     _check_cells("box", base_box.box_area, MAX_CELLS)
     window = base_box.box_area if args.norm is None else args.norm[0] * args.norm[1]
@@ -208,24 +228,9 @@ def cmd_boxsim(args) -> int:
     records = robustness_sweep(
         mask, base_box, perturbations, scheme, args.norm, args.mode
     )
-    header = _provenance(
-        "boxsim",
-        id=args.id,
-        box=f"{base_box.x0},{base_box.y0},{base_box.x1},{base_box.y1}",
-        bins=args.bins,
-        radius=args.radius,
-        norm="native" if args.norm is None else f"{args.norm[0]}x{args.norm[1]}",
-        mode=args.mode,
-    )
-    rows = [
-        (r.dx, r.dy, r.sx, r.sy, r.iou_beyond, r.iou_inside) for r in records
-    ]
-    write_csv(
-        args.out,
-        ["dx", "dy", "sx", "sy", "iou_beyond", "iou_inside"],
-        rows,
-        header,
-    )
+    columns = [f.name for f in dataclasses.fields(RobustnessRecord)]
+    rows = [dataclasses.astuple(r) for r in records]
+    write_csv(args.out, columns, rows, _provenance(args))
     return 0
 
 
@@ -244,14 +249,6 @@ def cmd_eval(args) -> int:
     if args.nms is not None:
         proposals = nms(proposals, args.nms, use_masks=True, canvas_size=canvas)
     report = evaluate(proposals, gts, args.ar_n, args.ap_iou)
-    header = _provenance(
-        "eval",
-        ar_n=",".join(str(n) for n in args.ar_n),
-        ap_iou=",".join(repr(t) for t in args.ap_iou),
-        box_nms=args.box_nms,
-        top=args.top,
-        mask_nms=args.nms,
-    )
     rows: list[tuple[object, object, object]] = [
         ("count", "ground_truth", report.num_ground_truth),
         ("count", "proposals", report.num_proposals),
@@ -259,7 +256,7 @@ def cmd_eval(args) -> int:
     rows += [("recall", t, r) for t, r in report.curve]
     rows += [("ar", n, v) for n, v in report.ar_at_n.items()]
     rows += [("ap", t, v) for t, v in report.ap_at.items()]
-    write_csv(args.out, ["section", "key", "value"], rows, header)
+    write_csv(args.out, ["section", "key", "value"], rows, _provenance(args))
     return 0
 
 
@@ -274,9 +271,9 @@ def cmd_bench(args) -> int:
     sizes = args.sizes
     for size in sizes:
         _check_cells("bench mask", size * size, MAX_CELLS)
-    rows = []
-    oracle_rate = None  # seconds per (pixel, Q-pixel) pair from the largest oracle run
     measurements = []
+    # Seconds per (pixel, Q-pixel) pair, from the largest size that ran the oracle.
+    oracle_size, oracle_rate = -1, None
     for size in sizes:
         mask = _bench_mask(size, args.seed + size)
         pairs = size * size * int(boundary_set(mask).member.sum())
@@ -298,46 +295,19 @@ def cmd_bench(args) -> int:
                 raise RuntimeError(
                     f"fast and oracle transforms disagree at size {size}"
                 )
-            oracle_rate = oracle_seconds / pairs
+            if size > oracle_size:
+                oracle_size, oracle_rate = size, oracle_seconds / pairs
         measurements.append((size, pairs, fast_median, oracle_seconds, match))
+    rows = []
     for size, pairs, fast_median, oracle_seconds, match in measurements:
-        extrapolated = oracle_rate * pairs if oracle_rate is not None else None
-        speedup = extrapolated / fast_median if extrapolated is not None else None
+        extrapolated = None if oracle_rate is None else oracle_rate * pairs
+        speedup = None if extrapolated is None else extrapolated / fast_median
         rows.append(
-            (
-                size,
-                args.reps,
-                pairs,
-                fast_median,
-                "" if oracle_seconds is None else repr(oracle_seconds),
-                "" if extrapolated is None else repr(extrapolated),
-                "" if speedup is None else repr(speedup),
-                "" if match is None else ("yes" if match else "no"),
-            )
+            (size, args.reps, pairs, fast_median, oracle_seconds, extrapolated, speedup, match)
         )
-    header = _provenance(
-        "bench",
-        sizes=",".join(str(s) for s in sizes),
-        reps=args.reps,
-        radius=args.radius,
-        seed=args.seed,
-        oracle_limit=args.oracle_limit,
-    )
-    write_csv(
-        args.out,
-        [
-            "size",
-            "reps",
-            "pair_count",
-            "fast_median_s",
-            "oracle_s",
-            "oracle_extrapolated_s",
-            "speedup_vs_extrapolated",
-            "oracle_match",
-        ],
-        rows,
-        header,
-    )
+    columns = ["size", "reps", "pair_count", "fast_median_s", "oracle_s",
+               "oracle_extrapolated_s", "speedup_vs_extrapolated", "oracle_match"]
+    write_csv(args.out, columns, rows, _provenance(args))
     return 0
 
 
@@ -399,13 +369,13 @@ def build_parser():
     )
     p.add_argument("--bins", type=int, default=5)
     p.add_argument("--radius", type=int, default=13)
-    p.add_argument("--mode", choices=DECODE_MODES, default="conservative")
     p.add_argument(
         "--norm",
         type=_arg(_parse_norm),
         default="native",
         help="normalized window size WxH, or 'native' for unit scale",
     )
+    p.add_argument("--mode", choices=DECODE_MODES, default="conservative")
     p.add_argument("--out", required=True, help="output records (CSV)")
     p.set_defaults(func=cmd_boxsim)
 
@@ -422,7 +392,7 @@ def build_parser():
     )
     p.add_argument(
         "--top",
-        type=int,
+        type=_arg(_parse_count),
         default=DEFAULT_PROPOSAL_CAP,
         help="keep this many top-scoring proposals (0 = keep all)",
     )

@@ -278,6 +278,8 @@ def write_csv(path, header: list[str], rows, comments=()) -> None:
 
 
 def _csv_cell(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return "yes" if v else "no"
     if isinstance(v, float):

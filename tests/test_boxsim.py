@@ -89,6 +89,35 @@ class TestPerturbBox:
         with pytest.raises(ValueError, match="collapses"):
             perturb_box(Box(0, 0, 2, 2), Perturbation(sx=0.1, sy=0.1))
 
+    def test_exact_beyond_float64(self):
+        # 2**53 + 1 has no float64; corners neither round nor lose the half
+        big = 2**53 + 1
+        box = Box(0, 0, 4, 4)
+        assert perturb_box(box, Perturbation(dx=big, dy=-big)) == Box(big, -big, big + 4, 4 - big)
+        assert perturb_box(box, Perturbation(dx=big, sx=0.75)) == Box(big + 1, 0, big + 4, 4)
+
+    def test_matches_fraction_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            x0, y0 = (int(v) for v in rng.integers(-(2**50), 2**50, 2))
+            w, h = (int(v) for v in rng.integers(1, 10**6, 2))
+            dx, dy = (int(v) * 4 + 1 for v in rng.integers(-(2**60), 2**60, 2))
+            sx, sy = (float(v) for v in rng.uniform(0.01, 3.0, 2))
+            box = Box(x0, y0, x0 + w, y0 + h)
+
+            def side(lo, hi, shift, scale):
+                mid = Fraction(lo + hi, 2) + shift + Fraction(1, 2)
+                half = (hi - lo) * Fraction(scale) / 2
+                return math.floor(mid - half), math.floor(mid + half)
+
+            (wx0, wx1), (wy0, wy1) = side(x0, x0 + w, dx, sx), side(y0, y0 + h, dy, sy)
+            pert = Perturbation(dx=dx, dy=dy, sx=sx, sy=sy)
+            if wx1 <= wx0 or wy1 <= wy0:
+                with pytest.raises(ValueError, match="collapses"):
+                    perturb_box(box, pert)
+            else:
+                assert perturb_box(box, pert) == Box(wx0, wy0, wx1, wy1)
+
     def test_scale_factors_validated(self):
         with pytest.raises(ValueError):
             Perturbation(sx=0.0)

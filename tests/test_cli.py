@@ -1,3 +1,4 @@
+import argparse
 import shutil
 import subprocess
 import tracemalloc
@@ -18,7 +19,7 @@ from dtmask import (
     write_mask,
     write_proposals,
 )
-from dtmask.cli import main
+from dtmask.cli import _provenance, build_parser, main
 
 from helpers import disk_raster
 
@@ -222,6 +223,27 @@ class TestBoxsim:
         )
         assert code == 0
         assert data_lines(out)[1].endswith(",0.0,0.0")
+
+    def test_shift_at_the_coordinate_bound_is_exact(self, tmp_path, disk_pgm):
+        out = tmp_path / "sweep.csv"
+        code = run(
+            "boxsim", "--labels", disk_pgm, "--id", 1, "--box", "4,4,28,28",
+            f"--shift-range={-(2**50)}:{-(2**50)}:1", "--out", out,
+        )
+        assert code == 0
+        assert data_lines(out)[1] == f"{-(2**50)},{-(2**50)},1.0,1.0,0.0,0.0"
+
+    def test_shift_beyond_the_coordinate_bound_rejected(self, tmp_path, disk_pgm, capsys):
+        # float64 rounded this shift and reported a collapsed box
+        shift = 2**60 + 3
+        out = tmp_path / "sweep.csv"
+        code = run(
+            "boxsim", "--labels", disk_pgm, "--id", 1, "--box", "4,4,28,28",
+            f"--shift-range=0:{shift}:{shift}", "--out", out,
+        )
+        assert code == 2
+        assert f"shifts must lie in [-2**50, 2**50], got {shift}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_normalized_window(self, tmp_path, disk_pgm):
         out = tmp_path / "sweep.csv"
@@ -500,6 +522,16 @@ class TestBench:
         assert big[5] != ""  # but an extrapolated one
         assert big[7] == ""
 
+    @pytest.mark.parametrize("sizes", ["24,16", "16,24"])
+    def test_extrapolation_uses_the_largest_oracle_run(self, tmp_path, sizes):
+        out = tmp_path / "bench.csv"
+        code = run(
+            "bench", "--sizes", sizes, "--reps", 1, "--oracle-limit", 24, "--out", out,
+        )
+        assert code == 0
+        rows = {cells[0]: cells for cells in (l.split(",") for l in data_lines(out)[1:])}
+        assert float(rows["24"][5]) == pytest.approx(float(rows["24"][4]), rel=1e-9)
+
     def test_zero_reps_rejected(self, tmp_path):
         assert run("bench", "--reps", 0, "--sizes", "8", "--out", tmp_path / "o") == 2
 
@@ -540,6 +572,7 @@ class TestExitCodes:
                 ["boxsim", "--box=0,-1125899906842625,4,4"],
                 "box coordinates must lie in [-2**50, 2**50], got -1125899906842625",
             ),
+            (["eval", "--top=-5"], "count must be >= 0, got -5"),
         ],
     )
     def test_argument_errors_name_the_reason(self, tmp_path, capsys, argv, message):
@@ -555,6 +588,91 @@ class TestExitCodes:
         assert message in err
         assert "invalid" not in err
         assert not out.exists()
+
+
+# Flags that name files; every other flag is a setting.
+PATH_FLAGS = {"--in", "--out", "--labels", "--proposals", "--gt"}
+
+
+class TestHeaders:
+    @pytest.fixture
+    def inputs(self, tmp_path, disk_pbm, disk_pgm):
+        bps = tmp_path / "disk.bps"
+        assert run("encode", "--in", disk_pbm, "--out", bps) == 0
+        gt, plist = _eval_fixture(tmp_path)
+        return {
+            "dt": ["--in", disk_pbm],
+            "encode": ["--in", disk_pbm],
+            "decode": ["--in", bps],
+            "softdecode": ["--in", bps],
+            "boxsim": ["--labels", disk_pgm, "--id", 1, "--box", "4,4,28,28"],
+            "eval": ["--proposals", plist, "--gt", gt],
+            "bench": [],
+        }
+
+    @pytest.mark.parametrize(
+        "command, flags, settings",
+        [
+            ("dt", [], "radius=13"),
+            ("dt", ["--radius", 4], "radius=4"),
+            ("encode", [], "bins=5 radius=13"),
+            ("encode", ["--bins", 3], "bins=3 radius=13"),
+            ("decode", [], "mode=conservative"),
+            ("decode", ["--mode", "literal"], "mode=literal"),
+            (
+                "softdecode",
+                [],
+                "flip_prob=0.0 seed=0 weight=10.0 bias=-5.0 threshold=0.4 "
+                "mode=conservative lax=False",
+            ),
+            (
+                "softdecode",
+                ["--lax"],
+                "flip_prob=0.0 seed=0 weight=10.0 bias=-5.0 threshold=0.4 "
+                "mode=conservative lax=True",
+            ),
+            (
+                "boxsim",
+                [],
+                "id=1 box=4,4,28,28 shrink_range=0:0:1 shift_range=0:0:1 "
+                "bins=5 radius=13 norm=native mode=conservative",
+            ),
+            (
+                "boxsim",
+                ["--shrink-range", "0:5:2", "--shift-range=-2:2:2"],
+                "id=1 box=4,4,28,28 shrink_range=0:5:2 shift_range=-2:2:2 "
+                "bins=5 radius=13 norm=native mode=conservative",
+            ),
+            ("eval", [], "ar_n=10,100,1000 ap_iou=0.5,0.7 box_nms=0.7 top=300 mask_nms=0.5"),
+            (
+                "eval",
+                ["--box-nms", "none"],
+                "ar_n=10,100,1000 ap_iou=0.5,0.7 box_nms=none top=300 mask_nms=0.5",
+            ),
+            ("bench", [], "sizes=128,256,512 reps=3 radius=13 seed=0 oracle_limit=128"),
+            (
+                "bench",
+                ["--sizes", "8,16"],
+                "sizes=8,16 reps=3 radius=13 seed=0 oracle_limit=128",
+            ),
+        ],
+    )
+    def test_second_header_line(self, tmp_path, inputs, command, flags, settings):
+        out = tmp_path / "out"
+        assert run(command, *inputs[command], *flags, "--out", out) == 0
+        assert comment_lines(out)[1] == f"# {settings}"
+
+    def test_every_setting_flag_is_echoed_in_flag_order(self, inputs):
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(commands.choices) == sorted(inputs)
+        for command, sub in commands.choices.items():
+            flags = [a.option_strings[-1] for a in sub._actions if a.dest != "help"]
+            keys = [f[2:].replace("-", "_") for f in flags if f not in PATH_FLAGS]
+            keys = ["mask_nms" if k == "nms" else k for k in keys]
+            args = parser.parse_args([command, *map(str, inputs[command]), "--out", "o"])
+            echoed = [pair.split("=")[0] for pair in _provenance(args)[1].split(" ")]
+            assert echoed == keys, command
 
 
 def test_console_script_is_installed():
