@@ -136,8 +136,17 @@ def _parse_range(text: str) -> range:
     return range(start, stop + 1, step)
 
 
+def _split_list(text: str) -> list[str]:
+    if not text:
+        raise ValueError("list must not be empty")
+    items = text.split(",")
+    if "" in items:
+        raise ValueError(f"empty item in list {text!r}")
+    return items
+
+
 def _parse_ints(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p]
+    return [int(p) for p in _split_list(text)]
 
 
 def _parse_count(text: str) -> int:
@@ -164,7 +173,7 @@ def _parse_iou(text: str) -> float:
 
 
 def _parse_ious(text: str) -> list[float]:
-    return [_parse_iou(p) for p in text.split(",") if p]
+    return [_parse_iou(p) for p in _split_list(text)]
 
 
 def _parse_optional_iou(text: str) -> float | None:

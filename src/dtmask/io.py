@@ -7,6 +7,15 @@ but \x1f end a comment.  They never repair bad data: every violation
 raises FormatError, except the documented lax mode of `read_bps` for
 deliberately corrupted stacks.
 
+Every reader strips comments once, finding each '#' with bytes.find and
+its end with a one-class regex search, then joining the kept slices.
+An integer body (PGM, DTM) that holds only ASCII digits and whitespace
+is decoded with numpy: a body of one-digit tokens straight from its
+digit bytes, any other by Horner over each digit run, building int64
+index arrays only then.  A sign, '_', a letter or a token of 19 or more
+digits (which may not fit int64) takes the token-by-token int() path,
+so the grammar, the values and the error texts are the same.
+
 Formats:
   P1   plain bitmap, "P1", "<w> <h>", rows of 0/1 digits (1 = object)
   P2   plain graymap, "P2", "<w> <h>", "<maxval>", rows of labels
@@ -34,7 +43,7 @@ class FormatError(ValueError):
 
 # Python's str.split whitespace and str.splitlines breaks, in ASCII.
 _SPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
-_COMMENT = re.compile(rb"#[^\n\r\x0b\x0c\x1c-\x1e]*")
+_LINE_BREAK = re.compile(rb"[\n\r\x0b\x0c\x1c-\x1e]")
 _TOKEN = re.compile(rb"[^ \t\n\r\x0b\x0c\x1c-\x1f]+")
 # bytes.split() does not split on \x1c-\x1f.
 _SPACE_TO_BLANK = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
@@ -51,6 +60,24 @@ def _read_ascii(path) -> bytes:
     return data
 
 
+def _strip_comments(data: bytes) -> bytes:
+    """`data` without its '#' comments; a comment's line break stays, so
+    it still separates tokens."""
+    k = data.find(b"#")
+    if k < 0:
+        return data
+    view = memoryview(data)
+    kept = []
+    start = 0
+    while k >= 0:
+        kept.append(view[start:k])
+        end = _LINE_BREAK.search(data, k)
+        start = len(data) if end is None else end.start()
+        k = data.find(b"#", start)
+    kept.append(view[start:])
+    return b"".join(kept)
+
+
 class _RasterFile:
     """A raster file read once as bytes: magic, width, height, more header
     integers one token at a time, then the body from offset `pos`.  Errors
@@ -58,8 +85,7 @@ class _RasterFile:
 
     def __init__(self, path, magic: str):
         self.path = os.fspath(path)
-        # A comment's line break stays, so it still separates tokens.
-        self.data = _COMMENT.sub(b"", _read_ascii(path))
+        self.data = _strip_comments(_read_ascii(path))
         token = _TOKEN.search(self.data)
         if token is None or token.group() != magic.encode():
             got = token.group().decode() if token else "nothing"
@@ -110,14 +136,51 @@ class _RasterFile:
     def ints(self, shape: tuple[int, ...], what: str) -> np.ndarray:
         """The body as flat int64, or as Python ints if one is beyond int64."""
         self.shape = shape
-        tokens = self.data[self.pos :].translate(_SPACE_TO_BLANK).split()
-        if len(tokens) != math.prod(shape):
-            raise self.error(f"expected {math.prod(shape)} {what}s, found {len(tokens)}")
+        body = self.data[self.pos :]
+        digits = body.translate(None, _SPACE)
+        if digits.isdigit():
+            values = self._digit_ints(body, digits, what)
+            if values is not None:
+                return values
+        tokens = body.translate(_SPACE_TO_BLANK).split()
+        self._check_count(len(tokens), what)
         try:
             return np.fromiter(map(int, tokens), np.int64, len(tokens))
         except (ValueError, OverflowError):
             # Rescan to name a bad token; one beyond int64 fails a range check.
             return np.array([self._parse(t, what, k) for k, t in enumerate(tokens)], dtype=object)
+
+    def _check_count(self, found: int, what: str) -> None:
+        if found != math.prod(self.shape):
+            raise self.error(f"expected {math.prod(self.shape)} {what}s, found {found}")
+
+    def _digit_ints(self, body: bytes, digits: bytes, what: str) -> np.ndarray | None:
+        """Decode a body of ASCII digits and whitespace, or return None if a
+        token has 19 or more digits and may not fit int64."""
+        codes = np.frombuffer(body, dtype=np.uint8)
+        # Every _SPACE byte sorts below "0", so ">= 0" marks exactly the
+        # digits; `edges` marks where each digit run starts and ends.
+        edges = np.diff(codes >= ord("0"), prepend=False, append=False)
+        tokens = np.count_nonzero(edges) // 2
+        self._check_count(tokens, what)
+        if len(digits) == tokens:
+            return np.subtract(np.frombuffer(digits, dtype=np.uint8), ord("0"), dtype=np.int64)
+        # Some token has two or more digits: Horner over the runs read
+        # right-aligned, so a short run reads as zeros on its left.
+        at = np.flatnonzero(edges)
+        length = at[1::2] - at[::2]
+        longest = int(length.max())
+        if longest > 18:
+            return None
+        at = at[1::2] - longest
+        values = np.zeros(tokens, dtype=np.int64)
+        for k in range(longest, 0, -1):
+            digit = codes.take(at, mode="clip") - ord("0")
+            digit *= length >= k
+            values *= 10
+            values += digit
+            at += 1
+        return values
 
 
 def _comment_lines(comments) -> list[str]:

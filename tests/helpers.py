@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 from scipy import ndimage
@@ -256,6 +257,9 @@ def nms_oracle(proposals, iou_thresh, use_masks=False, canvas_size=None):
 # Reference plain-text readers and writers: one Python str per token on
 # read, one join per row on write.  `dtmask.io` must match their bytes,
 # and their results on every file they accept.
+
+# A '#' comment runs up to, not including, the next str.splitlines break.
+_COMMENT_ORACLE = re.compile(rb"#[^\n\r\x0b\x0c\x1c-\x1e]*")
 
 
 def _tokens_oracle(path) -> list[str]:

@@ -573,12 +573,19 @@ class TestExitCodes:
                 "box coordinates must lie in [-2**50, 2**50], got -1125899906842625",
             ),
             (["eval", "--top=-5"], "count must be >= 0, got -5"),
+            (["bench", "--sizes="], "list must not be empty"),
+            (["eval", "--ar-n="], "list must not be empty"),
+            (["eval", "--ap-iou="], "list must not be empty"),
+            (["eval", "--ar-n=10,,100"], "empty item in list '10,,100'"),
+            (["eval", "--ap-iou=0.5,"], "empty item in list '0.5,'"),
+            (["bench", "--sizes=,16"], "empty item in list ',16'"),
         ],
     )
     def test_argument_errors_name_the_reason(self, tmp_path, capsys, argv, message):
         inputs = {
             "boxsim": ["--labels", "l.pgm", "--id", 1, "--box", "4,4,28,28"],
             "eval": ["--proposals", "p.txt", "--gt", "g.pgm"],
+            "bench": [],
         }
         command, *flags = argv
         out = tmp_path / "o.csv"
