@@ -7,7 +7,11 @@ the object still sees large distances at the cut), decoded back onto
 the full canvas where disks may extend past the box, and compared with
 the instance interior both with and without clipping to the box.  The
 full-image transform is the same for every box of a sweep, so a sweep
-computes it once, untruncated, and samples each window's cells from it.
+computes it once and samples each window's cells from it.  It is
+capped at the largest value any window of the sweep can tell apart, or
+at the raster's reach if that is lower: under a window's scale num/den,
+a stored value of at least ceil(cap * den / num) scales to at least the
+scheme cap and is clipped to it, so a higher cap changes no window.
 
 Every numeric step that affects rasters runs in integer arithmetic:
 the normalization scale is carried as an exact fraction, value scaling
@@ -145,24 +149,32 @@ def encode_window(
 ) -> BitPlaneStack:
     """Ground-truth encoding of a normalized window.
 
-    `full` is the untruncated transform of the whole image,
-    `truncated_edt(mask, grid._reach(h, w))`, so a box cutting the
+    `full` is the transform of the whole image, so a box cutting the
     object still sees distances to the true object boundary.  Pipeline:
     sample `full` at the box pixels nearest the normalized cells (off the
     image they read 0; memory follows the window, not the box), scale
     values by `spec.min_scale_fraction()` with an exact integer ceiling,
     truncate at the scheme cap, quantize.
-    A transform capped below its reach is rejected, since a downscaled
-    window would read its capped values as true distances.
+    `full` must be capped at least at min(reach, `_read_cap(spec, cap)`),
+    the largest value the window can tell apart; a transform capped
+    below that is rejected, since the window would read its capped
+    values as true distances.
     """
-    reach = _reach(full.height, full.width)
-    if full.radius_cap < reach:
-        raise ValueError(f"transform is capped at {full.radius_cap}, below its reach {reach}")
+    cap = scheme.radius_cap
+    need = min(_reach(full.height, full.width), _read_cap(spec, cap))
+    if full.radius_cap < need:
+        raise ValueError(f"transform is capped at {full.radius_cap}, below the {need} this window reads")
     num, den = spec.min_scale_fraction()
     window = sample_raster(full.values, spec.box, spec.norm_width, spec.norm_height, 0)
     scaled = (window.astype("int64") * num + den - 1) // den
-    cap = scheme.radius_cap
     return encode(TruncatedDistanceMap(scaled.clip(max=cap), cap), scheme)
+
+
+def _read_cap(spec: WindowSpec, radius_cap: int) -> int:
+    """ceil(radius_cap * den / num): every stored value at least this
+    scales to at least `radius_cap` in the window and is clipped to it."""
+    num, den = spec.min_scale_fraction()
+    return -(-radius_cap * den // num)
 
 
 def decode_to_canvas(
@@ -233,13 +245,17 @@ def robustness_sweep(
         scheme = make_uniform_scheme(5, 13)
     target = interior_mask(full_mask)
     height, width = full_mask.pixels.shape
-    full = truncated_edt(full_mask, _reach(height, width))
-
-    records = []
+    specs = []
     for pert in perturbations:
         box = perturb_box(base_box, pert)
         norm_w, norm_h = norm_size if norm_size is not None else (box.width, box.height)
-        spec = WindowSpec(box, norm_w, norm_h)
+        specs.append(WindowSpec(box, norm_w, norm_h))
+    need = max((_read_cap(spec, scheme.radius_cap) for spec in specs), default=1)
+    full = truncated_edt(full_mask, min(_reach(height, width), need))
+
+    records = []
+    for pert, spec in zip(perturbations, specs):
+        box = spec.box
         stack = encode_window(full, spec, scheme)
         beyond = decode_to_canvas(stack, spec, width, height, mode)
         inside = BinaryMask(beyond.pixels & rasterize_box(box, width, height).pixels)

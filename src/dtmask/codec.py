@@ -344,5 +344,9 @@ def corrupt(stack: BitPlaneStack, flip_prob: float, seed: int) -> ProbPlaneStack
     if not (0.0 <= flip_prob <= 1.0):
         raise ValueError(f"flip probability must lie in [0, 1], got {flip_prob}")
     rng = np.random.default_rng(seed)
-    flips = rng.random(stack.planes.shape) < flip_prob
-    return ProbPlaneStack(stack.planes ^ flips, stack.scheme)
+    planes = stack.planes.copy()
+    # One draw per plane continues the same stream as one draw of the
+    # whole stack, so the flips are the same with a plane of floats alive.
+    for plane in planes:
+        plane ^= rng.random(plane.shape) < flip_prob
+    return ProbPlaneStack(planes, stack.scheme)

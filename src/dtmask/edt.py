@@ -8,13 +8,23 @@ image border.  For each pixel p the transform stores
 
 with d measured between pixel centers, so D is integer-valued, zero
 exactly on Q, and capped at the truncation radius R.  Two independent
-routes are provided, and they agree bit for bit.  `truncated_edt` takes
-the nearest Q pixel from the exact feature transform, forms the squared
-distance s in integers, and reads ceil(sqrt(s)) capped at R off a table
-of squares: it is the count of k^2 < s over k = 0 .. min(R, reach) - 1,
-where reach bounds every rounded-up distance on the raster.  No float
-enters.  `brute_force_edt` minimizes over Q literally and rounds up
-with `math.isqrt`; it is the reference in tests and benchmarks.
+routes are provided, and they agree bit for bit.
+
+`truncated_edt` works in integers only, within the band
+C = min(R, reach), where reach bounds every rounded-up distance on the
+raster.  It forms squared distances s and reads ceil(sqrt(s)) capped at
+C off a table of squares: the count of k^2 < s over k = 0 .. C - 1.  A
+band of at most `BAND_LIMIT` takes the separable transform of
+Felzenszwalb and Huttenlocher cut off at C: a column pass that counts
+each pixel's column distance to Q up to C, then a row pass over the
+offsets |dx| < C.  Its cost grows with C, so a wider band, which an
+unbounded `dt --radius` or a strongly downscaled boxsim window asks
+for, takes the nearest Q pixel from scipy's exact feature transform,
+whose cost does not depend on C.
+
+`brute_force_edt` searches the disk of offsets within C - 1 literally
+and rounds up with `math.isqrt`; it is the reference in tests and
+benchmarks.
 """
 
 from __future__ import annotations
@@ -26,6 +36,13 @@ import numpy as np
 from scipy import ndimage
 
 from .grid import BinaryMask, Box, _frozen_raster, _reach, sample_raster
+
+# Widest band C taken by the separable passes.  Their cost grows with C
+# and the feature transform's does not; on blobby 256^2 to 1200^2 masks
+# the two took the same time between C = 40 and C = 48.  Any C <= 64
+# keeps the column distances in uint8 and g^2 + dx^2 <= 64^2 + 63^2 in
+# int16.
+BAND_LIMIT = 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,53 +106,104 @@ def interior_mask(mask: BinaryMask) -> BinaryMask:
 def truncated_edt(mask: BinaryMask, radius_cap: int) -> TruncatedDistanceMap:
     """Exact truncated distance transform of a mask.
 
-    Uses the exact Euclidean feature transform to find the nearest Q
-    pixel of every pixel, then takes the integer ceiling of the exact
-    distance and truncates at `radius_cap`, in integers only.  Pixels
-    in Q (including all background) get value 0.
+    Every value is an integer ceiling capped at the band
+    C = min(`radius_cap`, reach), computed in integers only.  A band of
+    at most `BAND_LIMIT` takes the two band-limited separable passes of
+    `_band_squared_distances`, whose cost is O(h * w * C); a wider band
+    takes the nearest Q pixel from scipy's exact feature transform, whose
+    cost does not grow with C and which is faster there.  Pixels in Q
+    (including all background) get value 0.
     """
     if radius_cap < 1:
         raise ValueError(f"radius cap must be >= 1, got {radius_cap}")
     q = boundary_set(mask).member
     h, w = q.shape
+    band = min(radius_cap, _reach(h, w))
+    # k^2 < s exactly for k < ceil(sqrt(s)); no rounded-up distance
+    # exceeds the reach, so the table never needs to be longer.
+    squares = np.arange(band) ** 2
+    if band <= BAND_LIMIT:
+        d2 = _band_squared_distances(q, band)
+        ceil_sqrt = np.searchsorted(squares, np.arange(int(d2.max()) + 1)).astype(np.int32)
+        return TruncatedDistanceMap(np.take(ceil_sqrt, d2), radius_cap)
     qy, qx = ndimage.distance_transform_edt(~q, return_indices=True, return_distances=False)
     d2 = (qy - np.arange(h)[:, None]) ** 2
     d2 += (qx - np.arange(w)) ** 2
-    # k^2 < d2 exactly for k < ceil(sqrt(d2)); no rounded-up distance
-    # exceeds the reach, so the table never needs to be longer.
-    squares = np.arange(min(radius_cap, _reach(h, w))) ** 2
     return TruncatedDistanceMap(np.searchsorted(squares, d2), radius_cap)
+
+
+def _band_squared_distances(q: np.ndarray, band: int) -> np.ndarray:
+    """Squared distance to Q wherever it is below band^2, else >= band^2.
+
+    Column pass: `g` counts the k < band for which the column distance
+    to Q exceeds k, so it is min(band, column distance), built by
+    eroding the non-Q runs one row up and down per step.  Row pass: the
+    minimum of g(x')^2 + (x - x')^2 over in-image |x - x'| < min(band, g.max()).
+    Offsets at or beyond band only give values >= band^2, and beyond
+    g.max() none can undercut g(x)^2, so the cut is exact below band^2.
+    Q covers the border, so every column and row meets it in-image.
+    """
+    nq = ~q
+    run = nq.copy()
+    g = nq.astype(np.uint8)
+    for k in range(1, band):
+        run[k:] &= nq[:-k]
+        run[:-k] &= nq[k:]
+        if not run.any():
+            break
+        g += run
+    g2 = g.astype(np.int16)
+    g2 *= g2
+    d2 = g2.copy()
+    shifted = np.empty_like(g2)
+    w = q.shape[1]
+    for dx in range(1, min(band, int(g.max()), w)):
+        near, far = shifted[:, : w - dx], dx * dx
+        np.add(g2[:, dx:], far, out=near)
+        np.minimum(d2[:, : w - dx], near, out=d2[:, : w - dx])
+        np.add(g2[:, : w - dx], far, out=near)
+        np.minimum(d2[:, dx:], near, out=d2[:, dx:])
+    return d2
 
 
 def brute_force_edt(mask: BinaryMask, radius_cap: int) -> TruncatedDistanceMap:
     """Reference truncated distance transform.
 
-    Minimizes the squared center distance over every pixel of Q
-    literally, pixel block by pixel block, and applies the integer
-    ceiling through `math.isqrt` (ceil(sqrt(s)) = isqrt(s - 1) + 1 for
-    s >= 1).  Quadratic in the worst case; intended for verification,
-    not production use.
+    With C = min(`radius_cap`, reach), visits every offset (dy, dx) of
+    the disk dy^2 + dx^2 <= (C - 1)^2 literally and keeps, for each
+    pixel, the least squared distance to a Q pixel found at one of those
+    offsets.  A found s >= 1 rounds up through `math.isqrt`
+    (ceil(sqrt(s)) = isqrt(s - 1) + 1); a pixel with no Q pixel inside
+    the disk lies at least C - 1 away, rounds up to at least C, and
+    reads C.  Intended for verification, not production use.
     """
     if radius_cap < 1:
         raise ValueError(f"radius cap must be >= 1, got {radius_cap}")
     q = boundary_set(mask).member
-    out = np.zeros(mask.pixels.shape, dtype=np.int32)
-    py, px = np.nonzero(~q)
-    if py.size == 0:
-        return TruncatedDistanceMap(out, radius_cap)
-    qy, qx = np.nonzero(q)
-    qy = qy.astype(np.int64)
-    qx = qx.astype(np.int64)
-    step = max(1, min(2048, 4_000_000 // qy.size))
-    for start in range(0, py.size, step):
-        yy = py[start : start + step].astype(np.int64)
-        xx = px[start : start + step].astype(np.int64)
-        dy = yy[:, None] - qy[None, :]
-        dx = xx[:, None] - qx[None, :]
-        d2 = (dy * dy + dx * dx).min(axis=1)
-        vals = [min(math.isqrt(int(s) - 1) + 1, radius_cap) for s in d2]
-        out[yy, xx] = vals
-    return TruncatedDistanceMap(out, radius_cap)
+    h, w = q.shape
+    band = min(radius_cap, _reach(h, w))
+    r = band - 1
+    padded = np.pad(q, r, constant_values=False)
+    not_found = r * r + 1
+    disk = sorted(
+        (dy * dy + dx * dx, dy, dx)
+        for dy in range(-r, r + 1)
+        for dx in range(-r, r + 1)
+        if dy * dy + dx * dx < not_found
+    )
+    d2 = np.full((h, w), not_found, dtype=np.int64)
+    unfound = np.ones((h, w), dtype=bool)
+    # In order of growing s, the first Q pixel a pixel meets is a nearest one.
+    for s, dy, dx in disk:
+        at = padded[r + dy : r + dy + h, r + dx : r + dx + w] & unfound
+        d2[at] = s
+        unfound &= ~at
+        if not unfound.any():
+            break
+    found, inverse = np.unique(d2, return_inverse=True)
+    ceil = [0 if s == 0 else band if s == not_found else math.isqrt(int(s) - 1) + 1 for s in found]
+    values = np.asarray(ceil, dtype=np.int32)[inverse.reshape(h, w)]
+    return TruncatedDistanceMap(values, radius_cap)
 
 
 def edt_with_external_boundary(full_mask: BinaryMask, window: Box, radius_cap: int) -> TruncatedDistanceMap:

@@ -228,12 +228,19 @@ class TestEncodeWindow:
             assert np.array_equal(got.planes, want.planes)
 
     def test_transform_capped_below_reach_rejected(self):
+        # The least cap a window reads exactly is min(reach, ceil(13 den / num)):
+        # 12 for a 24 px box upscaled to 28, the reach 44 for a 32 px box
+        # downscaled to 8 (ceil(13 * 32 / 8) = 52).
         mask = disk_mask(32, 32, 16, 16, 10)
-        spec = WindowSpec(Box(4, 4, 28, 28), 28, 28)
         scheme = make_uniform_scheme(5, 13)
-        encode_window(truncated_edt(mask, _reach(32, 32)), spec, scheme)
-        with pytest.raises(ValueError, match="below its reach 44"):
-            encode_window(truncated_edt(mask, 43), spec, scheme)
+        for box, norm in ((Box(4, 4, 28, 28), 28), (Box(0, 0, 32, 32), 8)):
+            spec = WindowSpec(box, norm, norm)
+            num, den = spec.min_scale_fraction()
+            need = min(_reach(32, 32), math.ceil(Fraction(13 * den, num)))
+            assert need == (12 if norm == 28 else 44)
+            encode_window(truncated_edt(mask, need), spec, scheme)
+            with pytest.raises(ValueError, match=f"capped at {need - 1}, below the {need} "):
+                encode_window(truncated_edt(mask, need - 1), spec, scheme)
 
 
 def _two_bin_stack(size, radius, bits):
@@ -423,8 +430,16 @@ class TestRobustnessSweep:
             monkeypatch.setattr(module, "truncated_edt", counting_edt, raising=False)
         mask = disk_mask(40, 40, 20, 20, 12)
         perts = [Perturbation(dx=dx, sx=s, sy=s) for dx in (-3, 0, 3) for s in (0.8, 1.0)]
-        robustness_sweep(mask, tight_box(mask), perts, norm_size=(28, 28))
-        assert caps == [_reach(40, 40)]
+        for norm in ((28, 28), (8, 8), (2, 2), None):
+            caps.clear()
+            robustness_sweep(mask, tight_box(mask), perts, norm_size=norm)
+            need = 0
+            for pert in perts:
+                box = perturb_box(tight_box(mask), pert)
+                num, den = WindowSpec(box, *(norm or (box.width, box.height))).min_scale_fraction()
+                need = max(need, math.ceil(Fraction(13 * den, num)))
+            assert caps == [min(_reach(40, 40), need)]
+        assert caps == [13]  # native windows read up to the scheme cap
 
     def test_record_range_validated(self):
         with pytest.raises(ValueError):

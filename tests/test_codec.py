@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -406,10 +408,20 @@ class TestSoftDecode:
 
 class TestCorrupt:
     def test_returns_bool_planes(self):
+        # Flips are drawn one plane of floats at a time: a draw of the
+        # whole stack alone would hold 8 bytes per bit.
         rng = np.random.default_rng(137)
-        stack = random_one_hot(rng, make_uniform_scheme(5, 13))
+        stack = random_one_hot(rng, make_uniform_scheme(5, 13), min_size=256, max_size=256)
+        corrupt(stack, 0.5, 1)  # warm up outside the trace
         for flip_prob in (0.0, 0.3, 1.0):
-            assert corrupt(stack, flip_prob, 1).planes.dtype == bool
+            tracemalloc.start()
+            try:
+                prob = corrupt(stack, flip_prob, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert prob.planes.dtype == bool
+            assert peak < 4 * stack.planes.size
 
     def test_zero_flip_prob_is_identity(self):
         rng = np.random.default_rng(79)

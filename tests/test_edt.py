@@ -15,6 +15,8 @@ from dtmask import (
     interior_mask,
     truncated_edt,
 )
+from dtmask.edt import BAND_LIMIT
+from dtmask.grid import _reach
 
 from helpers import disk_mask, random_mask
 
@@ -79,12 +81,28 @@ class TestTruncatedEdt:
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(29)
+        cases = []
         for _ in range(200):
             m = BinaryMask(rng.random((32, 32)) < rng.uniform(0.1, 0.95))
-            for cap in (1, 5, 20, 10**9, 2**31 - 1):
-                fast = truncated_edt(m, cap)
-                ref = brute_force_edt(m, cap)
-                assert np.array_equal(fast.values, ref.values)
+            cases += [(m, cap) for cap in (1, 5, 20, 10**9, 2**31 - 1)]
+        # Both routes: bands around the crossover and the reach, on masks
+        # whose distances pass the crossover.
+        wide = (
+            BinaryMask(rng.random((96, 104)) < 0.8),
+            disk_mask(140, 132, 70, 66, 66),
+            BinaryMask(np.ones((132, 140), dtype=bool)),
+        )
+        for m in wide:
+            reach = _reach(m.height, m.width)
+            caps = (BAND_LIMIT - 1, BAND_LIMIT, BAND_LIMIT + 1, reach - 1, reach, 2**31 - 1)
+            cases += [(m, cap) for cap in caps]
+        for shape in ((1, 57), (57, 1)):
+            m = BinaryMask(rng.random(shape) < 0.7)
+            cases += [(m, cap) for cap in (1, 5, 2**31 - 1)]
+        for m, cap in cases:
+            fast = truncated_edt(m, cap)
+            ref = brute_force_edt(m, cap)
+            assert np.array_equal(fast.values, ref.values), (m.height, m.width, cap)
 
     def test_huge_cap_allocates_no_squares_table(self):
         # the table of squares stops at the raster's reach, not at the cap
