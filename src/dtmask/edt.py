@@ -104,15 +104,12 @@ def interior_mask(mask: BinaryMask) -> BinaryMask:
 
 
 def truncated_edt(mask: BinaryMask, radius_cap: int) -> TruncatedDistanceMap:
-    """Exact truncated distance transform of a mask.
+    """Exact truncated distance transform of a mask, in integers only.
 
-    Every value is an integer ceiling capped at the band
-    C = min(`radius_cap`, reach), computed in integers only.  A band of
-    at most `BAND_LIMIT` takes the two band-limited separable passes of
-    `_band_squared_distances`, whose cost is O(h * w * C); a wider band
-    takes the nearest Q pixel from scipy's exact feature transform, whose
-    cost does not grow with C and which is faster there.  Pixels in Q
-    (including all background) get value 0.
+    Values are capped at the band C = min(`radius_cap`, reach).  A band
+    of at most `BAND_LIMIT` takes `_band_squared_distances`; a wider one
+    takes the nearest Q pixel from scipy's exact feature transform.
+    Pixels in Q (including all background) get value 0.
     """
     if radius_cap < 1:
         raise ValueError(f"radius cap must be >= 1, got {radius_cap}")
@@ -138,10 +135,11 @@ def _band_squared_distances(q: np.ndarray, band: int) -> np.ndarray:
     Column pass: `g` counts the k < band for which the column distance
     to Q exceeds k, so it is min(band, column distance), built by
     eroding the non-Q runs one row up and down per step.  Row pass: the
-    minimum of g(x')^2 + (x - x')^2 over in-image |x - x'| < min(band, g.max()).
-    Offsets at or beyond band only give values >= band^2, and beyond
-    g.max() none can undercut g(x)^2, so the cut is exact below band^2.
-    Q covers the border, so every column and row meets it in-image.
+    minimum of g(x')^2 + (x - x')^2 over in-image offsets
+    |x - x'| < min(band, g.max()).  Offsets at or beyond band only give
+    values >= band^2, and beyond g.max() none can undercut g(x)^2, so
+    the cut is exact below band^2.  Q covers the border, so every column
+    and row meets it in-image.
     """
     nq = ~q
     run = nq.copy()
@@ -200,8 +198,9 @@ def brute_force_edt(mask: BinaryMask, radius_cap: int) -> TruncatedDistanceMap:
         unfound &= ~at
         if not unfound.any():
             break
+    # A pixel left unfound keeps r^2 + 1, which rounds up to r + 1 = C.
     found, inverse = np.unique(d2, return_inverse=True)
-    ceil = [0 if s == 0 else band if s == not_found else math.isqrt(int(s) - 1) + 1 for s in found]
+    ceil = [0 if s == 0 else math.isqrt(int(s) - 1) + 1 for s in found]
     values = np.asarray(ceil, dtype=np.int32)[inverse.reshape(h, w)]
     return TruncatedDistanceMap(values, radius_cap)
 

@@ -85,8 +85,8 @@ class TestTruncatedEdt:
         for _ in range(200):
             m = BinaryMask(rng.random((32, 32)) < rng.uniform(0.1, 0.95))
             cases += [(m, cap) for cap in (1, 5, 20, 10**9, 2**31 - 1)]
-        # Both routes: bands around the crossover and the reach, on masks
-        # whose distances pass the crossover.
+        # Both routes, with bands around the crossover and the reach; the
+        # disk and the solid block hold distances past the crossover.
         wide = (
             BinaryMask(rng.random((96, 104)) < 0.8),
             disk_mask(140, 132, 70, 66, 66),
