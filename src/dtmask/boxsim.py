@@ -7,11 +7,14 @@ the object still sees large distances at the cut), decoded back onto
 the full canvas where disks may extend past the box, and compared with
 the instance interior both with and without clipping to the box.  The
 full-image transform is the same for every box of a sweep, so a sweep
-computes it once and samples each window's cells from it.  It is
-capped at the largest value any window of the sweep can tell apart, or
-at the raster's reach if that is lower: under a window's scale num/den,
-a stored value of at least ceil(cap * den / num) scales to at least the
-scheme cap and is clipped to it, so a higher cap changes no window.
+computes it once and samples each window's cells from it.  Under a
+window's scale num/den a stored value v scales to ceil(v * num / den),
+which reaches the scheme cap exactly when v >= floor((cap - 1) * den /
+num) + 1.  Every value from that bound on encodes as the cap, and the
+value just below it does not, so the bound is the least transform cap
+that leaves the window unchanged.  A sweep caps its transform at the
+largest bound over its windows, or at the raster's reach if that is
+lower.
 
 Every numeric step that affects rasters runs in integer arithmetic:
 the normalization scale is carried as an exact fraction, value scaling
@@ -156,9 +159,9 @@ def encode_window(
     values by `spec.min_scale_fraction()` with an exact integer ceiling,
     truncate at the scheme cap, quantize.
     `full` must be capped at least at min(reach, `_read_cap(spec, cap)`),
-    the largest value the window can tell apart; a transform capped
-    below that is rejected, since the window would read its capped
-    values as true distances.
+    the least cap that leaves the window unchanged; a transform capped
+    below that is rejected, since a capped value would then encode
+    below the scheme cap where the true distance encodes at it.
     """
     cap = scheme.radius_cap
     need = min(_reach(full.height, full.width), _read_cap(spec, cap))
@@ -171,10 +174,11 @@ def encode_window(
 
 
 def _read_cap(spec: WindowSpec, radius_cap: int) -> int:
-    """ceil(radius_cap * den / num): every stored value at least this
-    scales to at least `radius_cap` in the window and is clipped to it."""
+    """Least stored value that scales to at least `radius_cap` in the
+    window: ceil(v * num / den) >= radius_cap exactly when
+    v * num > (radius_cap - 1) * den."""
     num, den = spec.min_scale_fraction()
-    return -(-radius_cap * den // num)
+    return (radius_cap - 1) * den // num + 1
 
 
 def decode_to_canvas(

@@ -22,9 +22,8 @@ unbounded `dt --radius` or a strongly downscaled boxsim window asks
 for, takes the nearest Q pixel from scipy's exact feature transform,
 whose cost does not depend on C.
 
-`brute_force_edt` searches the disk of offsets within C - 1 literally
-and rounds up with `math.isqrt`; it is the reference in tests and
-benchmarks.
+`brute_force_edt` minimizes over Q literally and rounds up with
+`math.isqrt`; it is the reference in tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -38,11 +37,13 @@ from scipy import ndimage
 from .grid import BinaryMask, Box, _frozen_raster, _reach, sample_raster
 
 # Widest band C taken by the separable passes.  Their cost grows with C
-# and the feature transform's does not; on blobby 256^2 to 1200^2 masks
-# the two took the same time between C = 40 and C = 48.  Any C <= 64
-# keeps the column distances in uint8 and g^2 + dx^2 <= 64^2 + 63^2 in
-# int16.
-BAND_LIMIT = 48
+# up to the thickest object's column depth, and the feature transform's
+# does not.  On thick blobs of 768^2 and 1200^2 the two took the same
+# time between C = 32 and C = 40 and the passes lost beyond; on fine
+# 256^2 masks and 384^2 boxsim scenes the passes stayed ahead up to
+# C = 64.  Any C <= 64 keeps the column distances in uint8 and
+# g^2 + dx^2 <= 64^2 + 63^2 in int16.
+BAND_LIMIT = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,17 +117,17 @@ def truncated_edt(mask: BinaryMask, radius_cap: int) -> TruncatedDistanceMap:
     q = boundary_set(mask).member
     h, w = q.shape
     band = min(radius_cap, _reach(h, w))
-    # k^2 < s exactly for k < ceil(sqrt(s)); no rounded-up distance
-    # exceeds the reach, so the table never needs to be longer.
-    squares = np.arange(band) ** 2
     if band <= BAND_LIMIT:
         d2 = _band_squared_distances(q, band)
-        ceil_sqrt = np.searchsorted(squares, np.arange(int(d2.max()) + 1)).astype(np.int32)
-        return TruncatedDistanceMap(np.take(ceil_sqrt, d2), radius_cap)
-    qy, qx = ndimage.distance_transform_edt(~q, return_indices=True, return_distances=False)
-    d2 = (qy - np.arange(h)[:, None]) ** 2
-    d2 += (qx - np.arange(w)) ** 2
-    return TruncatedDistanceMap(np.searchsorted(squares, d2), radius_cap)
+    else:
+        qy, qx = ndimage.distance_transform_edt(~q, return_indices=True, return_distances=False)
+        d2 = (qy - np.arange(h)[:, None]) ** 2
+        d2 += (qx - np.arange(w)) ** 2
+        np.minimum(d2, band * band, out=d2)
+    # k^2 < s exactly for k < ceil(sqrt(s)), so counting the squares
+    # below each s = 0 .. d2.max() gives ceil(sqrt(s)) capped at the band.
+    ceil_sqrt = np.searchsorted(np.arange(band) ** 2, np.arange(int(d2.max()) + 1))
+    return TruncatedDistanceMap(np.take(ceil_sqrt.astype(np.int32), d2), radius_cap)
 
 
 def _band_squared_distances(q: np.ndarray, band: int) -> np.ndarray:
@@ -167,42 +168,32 @@ def _band_squared_distances(q: np.ndarray, band: int) -> np.ndarray:
 def brute_force_edt(mask: BinaryMask, radius_cap: int) -> TruncatedDistanceMap:
     """Reference truncated distance transform.
 
-    With C = min(`radius_cap`, reach), visits every offset (dy, dx) of
-    the disk dy^2 + dx^2 <= (C - 1)^2 literally and keeps, for each
-    pixel, the least squared distance to a Q pixel found at one of those
-    offsets.  A found s >= 1 rounds up through `math.isqrt`
-    (ceil(sqrt(s)) = isqrt(s - 1) + 1); a pixel with no Q pixel inside
-    the disk lies at least C - 1 away, rounds up to at least C, and
-    reads C.  Intended for verification, not production use.
+    Minimizes the squared center distance over every pixel of Q
+    literally, pixel block by pixel block, and applies the integer
+    ceiling through `math.isqrt` (ceil(sqrt(s)) = isqrt(s - 1) + 1 for
+    s >= 1).  Quadratic in the worst case; intended for verification,
+    not production use.
     """
     if radius_cap < 1:
         raise ValueError(f"radius cap must be >= 1, got {radius_cap}")
     q = boundary_set(mask).member
-    h, w = q.shape
-    band = min(radius_cap, _reach(h, w))
-    r = band - 1
-    padded = np.pad(q, r, constant_values=False)
-    not_found = r * r + 1
-    disk = sorted(
-        (dy * dy + dx * dx, dy, dx)
-        for dy in range(-r, r + 1)
-        for dx in range(-r, r + 1)
-        if dy * dy + dx * dx < not_found
-    )
-    d2 = np.full((h, w), not_found, dtype=np.int64)
-    unfound = np.ones((h, w), dtype=bool)
-    # In order of growing s, the first Q pixel a pixel meets is a nearest one.
-    for s, dy, dx in disk:
-        at = padded[r + dy : r + dy + h, r + dx : r + dx + w] & unfound
-        d2[at] = s
-        unfound &= ~at
-        if not unfound.any():
-            break
-    # A pixel left unfound keeps r^2 + 1, which rounds up to r + 1 = C.
-    found, inverse = np.unique(d2, return_inverse=True)
-    ceil = [0 if s == 0 else math.isqrt(int(s) - 1) + 1 for s in found]
-    values = np.asarray(ceil, dtype=np.int32)[inverse.reshape(h, w)]
-    return TruncatedDistanceMap(values, radius_cap)
+    out = np.zeros(mask.pixels.shape, dtype=np.int32)
+    py, px = np.nonzero(~q)
+    if py.size == 0:
+        return TruncatedDistanceMap(out, radius_cap)
+    qy, qx = np.nonzero(q)
+    qy = qy.astype(np.int64)
+    qx = qx.astype(np.int64)
+    step = max(1, min(2048, 4_000_000 // qy.size))
+    for start in range(0, py.size, step):
+        yy = py[start : start + step].astype(np.int64)
+        xx = px[start : start + step].astype(np.int64)
+        dy = yy[:, None] - qy[None, :]
+        dx = xx[:, None] - qx[None, :]
+        d2 = (dy * dy + dx * dx).min(axis=1)
+        vals = [min(math.isqrt(int(s) - 1) + 1, radius_cap) for s in d2]
+        out[yy, xx] = vals
+    return TruncatedDistanceMap(out, radius_cap)
 
 
 def edt_with_external_boundary(full_mask: BinaryMask, window: Box, radius_cap: int) -> TruncatedDistanceMap:

@@ -228,19 +228,31 @@ class TestEncodeWindow:
             assert np.array_equal(got.planes, want.planes)
 
     def test_transform_capped_below_reach_rejected(self):
-        # The least cap a window reads exactly is min(reach, ceil(13 den / num)):
-        # 12 for a 24 px box upscaled to 28, the reach 44 for a 32 px box
-        # downscaled to 8 (ceil(13 * 32 / 8) = 52).
+        # The least cap that leaves a window unchanged is min(reach, the
+        # least stored value that scales to the scheme cap 13): 11 for a
+        # 24 px box upscaled to 28, 14 for a 32 px box downscaled to 28,
+        # the reach 44 for a 32 px box downscaled to 8 (least value 49).
         mask = disk_mask(32, 32, 16, 16, 10)
         scheme = make_uniform_scheme(5, 13)
-        for box, norm in ((Box(4, 4, 28, 28), 28), (Box(0, 0, 32, 32), 8)):
+        full = truncated_edt(mask, _reach(32, 32))
+        cases = ((Box(4, 4, 28, 28), 28, 11), (Box(0, 0, 32, 32), 28, 14), (Box(0, 0, 32, 32), 8, 44))
+        for box, norm, expected in cases:
             spec = WindowSpec(box, norm, norm)
-            num, den = spec.min_scale_fraction()
-            need = min(_reach(32, 32), math.ceil(Fraction(13 * den, num)))
-            assert need == (12 if norm == 28 else 44)
-            encode_window(truncated_edt(mask, need), spec, scheme)
+            need = min(_reach(32, 32), _least_value_at_cap(spec, 13))
+            assert need == expected
+            got = encode_window(truncated_edt(mask, need), spec, scheme)
+            assert np.array_equal(got.planes, encode_window(full, spec, scheme).planes)
             with pytest.raises(ValueError, match=f"capped at {need - 1}, below the {need} "):
                 encode_window(truncated_edt(mask, need - 1), spec, scheme)
+
+
+def _least_value_at_cap(spec, cap):
+    """Least stored value v with ceil(v * num / den) >= cap, by counting up."""
+    num, den = spec.min_scale_fraction()
+    v = 1
+    while math.ceil(Fraction(v * num, den)) < cap:
+        v += 1
+    return v
 
 
 def _two_bin_stack(size, radius, bits):
@@ -436,8 +448,8 @@ class TestRobustnessSweep:
             need = 0
             for pert in perts:
                 box = perturb_box(tight_box(mask), pert)
-                num, den = WindowSpec(box, *(norm or (box.width, box.height))).min_scale_fraction()
-                need = max(need, math.ceil(Fraction(13 * den, num)))
+                spec = WindowSpec(box, *(norm or (box.width, box.height)))
+                need = max(need, _least_value_at_cap(spec, 13))
             assert caps == [min(_reach(40, 40), need)]
         assert caps == [13]  # native windows read up to the scheme cap
 
