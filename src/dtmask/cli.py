@@ -285,7 +285,7 @@ def cmd_bench(args) -> int:
     oracle_size, oracle_rate = -1, None
     for size in sizes:
         mask = _bench_mask(size, args.seed + size)
-        pairs = size * size * int(boundary_set(mask).member.sum())
+        pairs = size * size * boundary_set(mask).area
         fast_times = []
         fast_map = None
         for _ in range(args.reps):

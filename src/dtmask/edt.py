@@ -47,16 +47,6 @@ BAND_LIMIT = 40
 
 
 @dataclass(frozen=True, eq=False)
-class BoundarySet:
-    """Membership raster of the distance source set Q."""
-
-    member: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "member", _frozen_raster(self.member, bool))
-
-
-@dataclass(frozen=True, eq=False)
 class TruncatedDistanceMap:
     """Integer distance raster together with its truncation radius."""
 
@@ -79,11 +69,11 @@ class TruncatedDistanceMap:
         return self.values.shape[1]
 
 
-def boundary_set(mask: BinaryMask) -> BoundarySet:
-    """Distance source set: background plus 4-boundary object pixels.
+def boundary_set(mask: BinaryMask) -> BinaryMask:
+    """Distance source set Q: background plus 4-boundary object pixels.
 
     An object pixel belongs to Q when any of its four edge neighbors is
-    background or falls outside the image.
+    background or falls outside the image.  True marks the members.
     """
     m = mask.pixels
     padded = np.pad(m, 1, constant_values=False)
@@ -93,7 +83,7 @@ def boundary_set(mask: BinaryMask) -> BoundarySet:
         & padded[1:-1, :-2]
         & padded[1:-1, 2:]
     )
-    return BoundarySet(~(m & interior4))
+    return BinaryMask(~(m & interior4))
 
 
 def interior_mask(mask: BinaryMask) -> BinaryMask:
@@ -101,7 +91,7 @@ def interior_mask(mask: BinaryMask) -> BinaryMask:
 
     This is exactly the region a conservative decode reconstructs.
     """
-    return BinaryMask(mask.pixels & ~boundary_set(mask).member)
+    return BinaryMask(mask.pixels & ~boundary_set(mask).pixels)
 
 
 def truncated_edt(mask: BinaryMask, radius_cap: int) -> TruncatedDistanceMap:
@@ -114,7 +104,7 @@ def truncated_edt(mask: BinaryMask, radius_cap: int) -> TruncatedDistanceMap:
     """
     if radius_cap < 1:
         raise ValueError(f"radius cap must be >= 1, got {radius_cap}")
-    q = boundary_set(mask).member
+    q = boundary_set(mask).pixels
     h, w = q.shape
     band = min(radius_cap, _reach(h, w))
     if band <= BAND_LIMIT:
@@ -176,7 +166,7 @@ def brute_force_edt(mask: BinaryMask, radius_cap: int) -> TruncatedDistanceMap:
     """
     if radius_cap < 1:
         raise ValueError(f"radius cap must be >= 1, got {radius_cap}")
-    q = boundary_set(mask).member
+    q = boundary_set(mask).pixels
     out = np.zeros(mask.pixels.shape, dtype=np.int32)
     py, px = np.nonzero(~q)
     if py.size == 0:

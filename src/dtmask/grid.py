@@ -11,7 +11,7 @@ are measured between pixel centers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,26 +144,28 @@ class Box:
 class BoxProposal:
     """A scored detection: a box, optionally carrying a mask.
 
-    The mask is anchored either to the full canvas ("canvas", mask shape
-    equals the image) or to the box itself ("box", mask shape equals the
-    box extent).
+    A mask with the box's extent is anchored to the box; any other mask
+    is anchored to the full canvas and must match the image.  Proposal
+    files follow the same rule, so the anchor is never stored.
     """
 
     box: Box
     score: float
     mask: BinaryMask | None = None
-    mask_anchor: str = field(default="canvas")
 
     def __post_init__(self):
         s = float(self.score)
         if not (0.0 <= s <= 1.0):
             raise ValueError(f"score must lie in [0, 1], got {self.score!r}")
         object.__setattr__(self, "score", s)
-        if self.mask_anchor not in ("canvas", "box"):
-            raise ValueError(f"unknown mask anchor {self.mask_anchor!r}")
-        if self.mask is not None and self.mask_anchor == "box":
-            if (self.mask.height, self.mask.width) != (self.box.height, self.box.width):
-                raise ValueError("box-anchored mask must match the box extent")
+
+    @property
+    def mask_anchor(self) -> str:
+        """The mask's anchor: "box" when it has the box's extent, else "canvas"."""
+        mask, box = self.mask, self.box
+        if mask is not None and (mask.height, mask.width) == (box.height, box.width):
+            return "box"
+        return "canvas"
 
     def canvas_window(self, width: int, height: int) -> tuple[int, int, np.ndarray]:
         """The part of the proposal mask that lies on a width x height canvas.
@@ -172,17 +174,18 @@ class BoxProposal:
         top-left pixel and a read-only view of the mask pixels there.  A
         box-anchored mask is clipped to the canvas without building one;
         a box entirely off the canvas gives an empty 0 x 0 window at
-        (0, 0).  Canvas-anchored masks must already match the canvas
-        shape.  Raises ValueError when the proposal carries no mask.
+        (0, 0).  Any other mask must match the canvas.  Raises ValueError
+        when the proposal carries no mask.
         """
         if self.mask is None:
             raise ValueError("proposal has no mask")
         if self.mask_anchor == "canvas":
             if (self.mask.height, self.mask.width) != (height, width):
+                b = self.box
                 raise ValueError(
-                    "canvas-anchored mask shape "
-                    f"{self.mask.width}x{self.mask.height} does not match "
-                    f"canvas {width}x{height}"
+                    f"mask shape {self.mask.width}x{self.mask.height} of the proposal "
+                    f"with box ({b.x0}, {b.y0}, {b.x1}, {b.y1}) matches neither "
+                    f"its box extent {b.width}x{b.height} nor the canvas {width}x{height}"
                 )
             return 0, 0, self.mask.pixels
         part = _overlap(self.box, width, height)
@@ -194,9 +197,9 @@ class BoxProposal:
     def canvas_mask(self, width: int, height: int) -> BinaryMask:
         """Materialize the proposal mask on a width x height canvas.
 
-        Canvas-anchored masks must already match the canvas shape.
-        Box-anchored masks are pasted at the box position and clipped.
-        Raises ValueError when the proposal carries no mask.
+        Box-anchored masks are pasted at the box position and clipped;
+        any other mask must already match the canvas.  Raises ValueError
+        when the proposal carries no mask.
         """
         x, y, window = self.canvas_window(width, height)
         if self.mask_anchor == "canvas":

@@ -1,20 +1,22 @@
 """Plain-text file formats for masks, maps, stacks, proposals, and CSV.
 
 All writers emit a fixed byte-exact layout with LF newlines.  Readers
-take ASCII only and split tokens and end '#' comments as str.split and
-str.splitlines do, so \x0b, \x0c and \x1c-\x1f are whitespace and all
-but \x1f end a comment.  They never repair bad data: every violation
-raises FormatError, except the documented lax mode of `read_bps` for
+take ASCII only and split tokens as str.split does, so \x0b, \x0c and
+\x1c-\x1f are whitespace.  A '#' comment in a raster file ends at the
+line breaks of str.splitlines: \n, \r, \x0b, \x0c and \x1c-\x1e.  A
+proposal list is read line by line, and its lines end only at \n, \r
+and \r\n.  Readers never repair bad data: every violation raises
+FormatError, except the documented lax mode of `read_bps` for
 deliberately corrupted stacks.
 
-Every reader strips comments once, finding each '#' with bytes.find and
-its end with a one-class regex search, then joining the kept slices.
-An integer body (PGM, DTM) that holds only ASCII digits and whitespace
-is decoded with numpy: a body of one-digit tokens straight from its
-digit bytes, any other by Horner over each digit run, building int64
-index arrays only then.  A sign, '_', a letter or a token of 19 or more
-digits (which may not fit int64) takes the token-by-token int() path,
-so the grammar, the values and the error texts are the same.
+Every raster reader strips comments once, finding each '#' with
+bytes.find and its end with a one-class regex search, then joining the
+kept slices.  An integer body (PGM, DTM) that holds only ASCII digits
+and whitespace is decoded with numpy: a body of one-digit tokens
+straight from its digit bytes, any other by Horner over each digit run,
+building int64 index arrays only then.  A sign, '_', a letter or a token
+of 19 or more digits (which may not fit int64) takes the token-by-token
+int() path, so the grammar, the values and the error texts are the same.
 
 Formats:
   P1   plain bitmap, "P1", "<w> <h>", rows of 0/1 digits (1 = object)
@@ -297,16 +299,13 @@ def read_proposals(path) -> list[BoxProposal]:
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from None
         mask = None
-        anchor = "canvas"
         if len(fields) == 7:
             mask_path = os.path.join(base, fields[6])
-            if not os.path.exists(mask_path):
+            if not os.path.isfile(mask_path):
                 raise FormatError(f"{path}: line {lineno}: mask file not found: {fields[6]}")
             mask = read_mask(mask_path)
-            if (mask.height, mask.width) == (box.height, box.width):
-                anchor = "box"
         try:
-            out.append(BoxProposal(box, score, mask, anchor))
+            out.append(BoxProposal(box, score, mask))
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from None
     return out

@@ -252,7 +252,6 @@ def average_recall(
 ) -> float:
     """Mean recall of the top-n proposals over the standard IoU grid."""
     _check_budget(n)
-    _canvas_shape(gts)
     mat = _proposal_gt_matrix(proposals, gts)
     return _average_recall(mat, _score_order(proposals), n)
 

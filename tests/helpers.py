@@ -431,9 +431,11 @@ def read_proposals_oracle(path) -> list[BoxProposal]:
                 if (mask.height, mask.width) == (box.height, box.width):
                     anchor = "box"
             try:
-                out.append(BoxProposal(box, score, mask, anchor))
+                proposal = BoxProposal(box, score, mask)
             except ValueError as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc}") from None
+            assert proposal.mask_anchor == anchor
+            out.append(proposal)
     return out
 
 

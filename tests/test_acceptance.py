@@ -152,7 +152,7 @@ def test_criterion_03_exact_interior_roundtrip(roundtrip_corpus):
 
 def test_criterion_04_no_boundary_leakage(roundtrip_corpus):
     for mask in roundtrip_corpus:
-        q = boundary_set(mask).member
+        q = boundary_set(mask).pixels
         for bins, cap in ROUNDTRIP_COMBOS:
             stack = encode(truncated_edt(mask, cap), make_uniform_scheme(bins, cap))
             out = hard_decode(stack, "conservative").pixels
@@ -361,7 +361,7 @@ def test_criterion_10_performance():
     assert np.array_equal(oracle_small.values, truncated_edt(small, 13).values)
 
     def pair_count(mask):
-        return mask.pixels.size * int(boundary_set(mask).member.sum())
+        return mask.pixels.size * int(boundary_set(mask).pixels.sum())
 
     rate = oracle_seconds / pair_count(small)
     extrapolated = rate * pair_count(big)

@@ -280,7 +280,7 @@ class TestRoundtrip:
             m = random_mask(rng, max_size=48)
             stack = encode(truncated_edt(m, 6), make_uniform_scheme(4, 6))
             out = hard_decode(stack, "conservative")
-            assert not (out.pixels & boundary_set(m).member).any()
+            assert not (out.pixels & boundary_set(m).pixels).any()
 
     def test_representative_monotone_under_refinement(self):
         # uniform tables for K in {2, 3, 5} at cap 13 are nested, so the

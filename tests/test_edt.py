@@ -24,14 +24,14 @@ from helpers import disk_mask, random_mask
 class TestBoundarySet:
     def test_all_background(self):
         q = boundary_set(BinaryMask(np.zeros((3, 4), dtype=bool)))
-        assert q.member.all()
+        assert q.pixels.all()
 
     def test_thin_strip_is_all_boundary(self):
         q = boundary_set(BinaryMask(np.array([[0, 1, 0]], dtype=bool)))
-        assert q.member.all()
+        assert q.pixels.all()
 
     def test_solid_block_boundary_is_border_ring(self):
-        q = boundary_set(BinaryMask(np.ones((5, 5), dtype=bool))).member
+        q = boundary_set(BinaryMask(np.ones((5, 5), dtype=bool))).pixels
         assert q.sum() == 16
         assert not q[1:4, 1:4].any()
 
@@ -39,7 +39,7 @@ class TestBoundarySet:
         rng = np.random.default_rng(17)
         for _ in range(20):
             m = random_mask(rng, max_size=24)
-            q = boundary_set(m).member
+            q = boundary_set(m).pixels
             h, w = m.pixels.shape
             for y in range(h):
                 for x in range(w):
@@ -129,7 +129,7 @@ class TestTruncatedEdt:
         for _ in range(25):
             m = random_mask(rng)
             d = truncated_edt(m, 7)
-            assert np.array_equal(d.values == 0, boundary_set(m).member)
+            assert np.array_equal(d.values == 0, boundary_set(m).pixels)
 
     def test_four_neighbor_lipschitz(self):
         rng = np.random.default_rng(37)
@@ -180,7 +180,7 @@ class TestBruteForceEdt:
         # per-pixel distances we can verify with math.isqrt directly
         m = BinaryMask(np.ones((7, 7), dtype=bool))
         d = brute_force_edt(m, 100).values
-        q = np.argwhere(boundary_set(m).member)
+        q = np.argwhere(boundary_set(m).pixels)
         for y in range(7):
             for x in range(7):
                 d2 = min((y - qy) ** 2 + (x - qx) ** 2 for qy, qx in q)

@@ -81,18 +81,17 @@ class TestBoxProposal:
         with pytest.raises(ValueError):
             BoxProposal(Box(0, 0, 1, 1), -0.1)
 
-    def test_box_anchored_mask_must_match_extent(self):
-        mask = BinaryMask(np.ones((2, 2), dtype=bool))
-        with pytest.raises(ValueError):
-            BoxProposal(Box(0, 0, 3, 2), 0.5, mask, "box")
-
-    def test_unknown_anchor(self):
-        with pytest.raises(ValueError):
-            BoxProposal(Box(0, 0, 1, 1), 0.5, None, "corner")
+    def test_anchor_follows_the_mask_shape(self):
+        box = Box(2, 1, 5, 3)
+        assert BoxProposal(box, 0.5, BinaryMask(np.ones((2, 3), bool))).mask_anchor == "box"
+        for h, w in ((3, 2), (2, 2), (4, 6), (1, 1)):
+            mask = BinaryMask(np.ones((h, w), bool))
+            assert BoxProposal(box, 0.5, mask).mask_anchor == "canvas"
+        assert BoxProposal(box, 0.5).mask_anchor == "canvas"
 
     def test_canvas_mask_pastes_and_clips(self):
         mask = BinaryMask(np.ones((2, 3), dtype=bool))
-        p = BoxProposal(Box(4, 1, 7, 3), 0.5, mask, "box")
+        p = BoxProposal(Box(4, 1, 7, 3), 0.5, mask)
         out = p.canvas_mask(6, 4).pixels
         # brute-force placement: true iff inside the box and inside canvas
         for y in range(4):
@@ -107,7 +106,7 @@ class TestBoxProposal:
             x0 = int(rng.integers(-bw - 2, w + 3))
             y0 = int(rng.integers(-bh - 2, h + 3))
             mask = BinaryMask(rng.random((bh, bw)) < 0.5)
-            p = BoxProposal(Box(x0, y0, x0 + bw, y0 + bh), 0.5, mask, "box")
+            p = BoxProposal(Box(x0, y0, x0 + bw, y0 + bh), 0.5, mask)
             want = canvas_mask_oracle(p, w, h).pixels
             assert np.array_equal(p.canvas_mask(w, h).pixels, want)
             x, y, window = p.canvas_window(w, h)
@@ -119,10 +118,19 @@ class TestBoxProposal:
 
     def test_canvas_mask_requires_matching_canvas(self):
         mask = BinaryMask(np.ones((4, 6), dtype=bool))
-        p = BoxProposal(Box(0, 0, 2, 2), 0.5, mask, "canvas")
+        p = BoxProposal(Box(0, 0, 2, 2), 0.5, mask)
         assert p.canvas_mask(6, 4) is mask
         with pytest.raises(ValueError):
             p.canvas_mask(5, 4)
+
+    def test_mismatch_error_names_the_proposal(self):
+        p = BoxProposal(Box(2, 1, 5, 3), 0.5, BinaryMask(np.ones((4, 5), bool)))
+        with pytest.raises(ValueError) as err:
+            p.canvas_window(6, 4)
+        assert str(err.value) == (
+            "mask shape 5x4 of the proposal with box (2, 1, 5, 3) matches "
+            "neither its box extent 3x2 nor the canvas 6x4"
+        )
 
     def test_canvas_mask_without_mask(self):
         with pytest.raises(ValueError):

@@ -316,7 +316,7 @@ class TestProposalsFormat:
         boxed = np.ones((2, 3), dtype=bool)
         props = [
             BoxProposal(Box(2, 1, 7, 4), 0.875, BinaryMask(canvas)),
-            BoxProposal(Box(1, 1, 4, 3), 1 / 3, BinaryMask(boxed), "box"),
+            BoxProposal(Box(1, 1, 4, 3), 1 / 3, BinaryMask(boxed)),
             BoxProposal(Box(0, 0, 3, 3), 0.5),
         ]
         path = tmp_path / "props.txt"
@@ -331,6 +331,23 @@ class TestProposalsFormat:
                 assert q.mask is None
             else:
                 assert np.array_equal(q.mask.pixels, p.mask.pixels)
+
+    def test_roundtrip_keeps_every_canvas_mask(self, tmp_path):
+        # The first box is off the origin and has the canvas size, so its
+        # mask has both the box extent and the canvas shape.
+        rng = np.random.default_rng(439)
+        props = [
+            BoxProposal(Box(2, 1, 8, 5), 0.5, BinaryMask(rng.random((4, 6)) < 0.5)),
+            BoxProposal(Box(-1, 2, 2, 4), 0.25, BinaryMask(rng.random((2, 3)) < 0.5)),
+            BoxProposal(Box(1, 1, 4, 3), 0.75, BinaryMask(rng.random((4, 6)) < 0.5)),
+            BoxProposal(Box(0, 0, 6, 4), 0.125, BinaryMask(rng.random((4, 6)) < 0.5)),
+        ]
+        path = tmp_path / "props.txt"
+        write_proposals(path, props)
+        got = read_proposals(path)
+        assert len(got) == len(props)
+        for p, q in zip(props, got):
+            assert np.array_equal(q.canvas_mask(6, 4).pixels, p.canvas_mask(6, 4).pixels)
 
     def test_mask_files_live_beside_the_list(self, tmp_path):
         props = [BoxProposal(Box(0, 0, 2, 2), 0.5, BinaryMask(np.ones((3, 3), bool)))]
@@ -367,10 +384,14 @@ class TestProposalsFormat:
             read_proposals(path)
 
     def test_missing_mask_file(self, tmp_path):
+        # a directory is not a mask file either
+        (tmp_path / "p_masks").mkdir()
         path = tmp_path / "props.txt"
-        path.write_text("0 1 1 4 5 0.5 nowhere.pbm\n")
-        with pytest.raises(FormatError, match="mask file not found"):
-            read_proposals(path)
+        for name in ("nowhere.pbm", "p_masks"):
+            path.write_text(f"0 1 1 4 5 0.5 {name}\n")
+            with pytest.raises(FormatError) as err:
+                read_proposals(path)
+            assert str(err.value) == f"{path}: line 1: mask file not found: {name}"
 
     def test_non_ascii_byte_names_line_and_offset(self, tmp_path):
         path = tmp_path / "props.txt"
@@ -389,7 +410,7 @@ class TestProposalsFormat:
         # same file name in sibling directories so the derived mask
         # directory references match
         props = [
-            BoxProposal(Box(0, 0, 2, 2), 1 / 7, BinaryMask(np.ones((2, 2), bool)), "box")
+            BoxProposal(Box(0, 0, 2, 2), 1 / 7, BinaryMask(np.ones((2, 2), bool)))
         ]
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()

@@ -225,7 +225,7 @@ def test_proposals_match_the_reference(tmp_path, data, comments, ops):
             props.append(BoxProposal(Box(1, 2, 4, 4), data.draw(st.floats(0, 1))))
         else:
             box = Box(0, 0, mask.width, mask.height)
-            props.append(BoxProposal(box, data.draw(st.floats(0, 1)), mask, "box"))
+            props.append(BoxProposal(box, data.draw(st.floats(0, 1)), mask))
     # same file name in sibling directories, so the mask references match
     new, old = tmp_path / "new", tmp_path / "old"
     new.mkdir(exist_ok=True)
@@ -245,8 +245,8 @@ def test_proposals_match_the_reference(tmp_path, data, comments, ops):
             read_proposals(path)
         return
     got = read_proposals(path)
-    assert [(p.box, p.score, p.mask_anchor) for p in got] == [
-        (p.box, p.score, p.mask_anchor) for p in want
+    assert [(p.box, p.score) for p in got] == [
+        (p.box, p.score) for p in want
     ]
     for p, q in zip(got, want):
         assert (p.mask is None) == (q.mask is None)

@@ -268,7 +268,7 @@ class TestAveragePrecision:
         for _ in range(20):
             props, gts = _random_instance(rng)
             squashed = [
-                BoxProposal(p.box, p.score**2, p.mask, p.mask_anchor) for p in props
+                BoxProposal(p.box, p.score**2, p.mask) for p in props
             ]
             for thresh in (0.3, 0.5):
                 assert average_precision(props, gts, thresh) == average_precision(
@@ -358,7 +358,7 @@ def _random_scene(rng, max_props=12):
         if rng.random() < 0.25:
             props.append(BoxProposal(box, score, _random_canvas_mask(rng, h, w)))
         else:
-            props.append(BoxProposal(box, score, _random_canvas_mask(rng, bh, bw), "box"))
+            props.append(BoxProposal(box, score, _random_canvas_mask(rng, bh, bw)))
     return props, gts
 
 
@@ -443,7 +443,7 @@ class TestSharedMatrix:
         rng = np.random.default_rng(433)
         gts = [_random_canvas_mask(rng, 16, 16) for _ in range(3)]
         props = [
-            BoxProposal(Box(x, x, x + 6, x + 5), 0.5, _random_canvas_mask(rng, 5, 6), "box")
+            BoxProposal(Box(x, x, x + 6, x + 5), 0.5, _random_canvas_mask(rng, 5, 6))
             for x in range(-3, 14, 2)
         ]
         calls = []
