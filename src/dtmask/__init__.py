@@ -31,7 +31,6 @@ from .codec import (
     BitPlaneStack,
     ProbPlaneStack,
     QuantizationScheme,
-    SoftDecodeParams,
     corrupt,
     encode,
     hard_decode,
@@ -100,7 +99,6 @@ __all__ = [
     "ProbPlaneStack",
     "QuantizationScheme",
     "RobustnessRecord",
-    "SoftDecodeParams",
     "TruncatedDistanceMap",
     "WindowSpec",
     "average_precision",

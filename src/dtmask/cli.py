@@ -25,7 +25,6 @@ from .codec import (
     DEFAULT_SOFT_THRESHOLD,
     DEFAULT_SOFT_WEIGHT,
     DECODE_MODES,
-    SoftDecodeParams,
     corrupt,
     encode,
     hard_decode,
@@ -205,9 +204,10 @@ def cmd_decode(args) -> int:
 
 def cmd_softdecode(args) -> int:
     stack = read_bps(args.infile, lax=args.lax)
-    prob = corrupt(stack, args.flip_prob, args.seed)
-    params = SoftDecodeParams(args.weight, args.bias, args.threshold)
-    mask = soft_decode(prob, params, args.mode)
+    noisy = corrupt(stack, args.flip_prob, args.seed)
+    mask = soft_decode(
+        noisy, args.mode, weight=args.weight, bias=args.bias, threshold=args.threshold
+    )
     write_mask(args.out, mask, _provenance(args))
     return 0
 
@@ -279,6 +279,8 @@ def cmd_bench(args) -> int:
         raise ValueError(f"reps must be >= 1, got {args.reps}")
     sizes = args.sizes
     for size in sizes:
+        if size < 1:
+            raise ValueError(f"sizes must be >= 1, got {size}")
         _check_cells("bench mask", size * size, MAX_CELLS)
     measurements = []
     # Seconds per (pixel, Q-pixel) pair, from the largest size that ran the oracle.
@@ -349,7 +351,7 @@ def build_parser():
     p = sub.add_parser("softdecode", help="corrupt then soft-decode bit planes")
     p.add_argument("--in", dest="infile", required=True, help="input stack (BPS)")
     p.add_argument("--flip-prob", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_arg(_parse_count), default=0)
     p.add_argument("--weight", type=float, default=DEFAULT_SOFT_WEIGHT)
     p.add_argument("--bias", type=float, default=DEFAULT_SOFT_BIAS)
     p.add_argument("--threshold", type=float, default=DEFAULT_SOFT_THRESHOLD)

@@ -7,16 +7,16 @@ radius around every set bit and unions the results; because the table
 representative never exceeds the true value, a conservative decode
 (disk radius r - 1) can never cross the object boundary, while a
 literal decode (disk radius r) fills bins exactly.  A soft decoder
-accepts real-valued plane scores, sums disk-kernel responses through a
-sigmoid, and thresholds; on clean one-hot input it reproduces the hard
-decoder bit for bit.
+accepts bit planes or real-valued plane scores, sums disk-kernel
+responses through a sigmoid, and thresholds; on clean one-hot input it
+reproduces the hard decoder bit for bit.
 
-Every disk is painted by one primitive, `_disk_sum`.  Bool planes (bit
-planes, and 0/1 scores such as `corrupt` returns) are counted in the
+Every disk is painted by one primitive, `_disk_sum`.  Bit planes,
+the corrupted ones `corrupt` returns included, are counted in the
 narrowest integer type that holds the largest possible count, int16
-for most radii; real-valued scores sum in float64.  A count of 0/1
-values is an integer that float64 holds exactly, so the soft decoder
-gives the same bits either way.
+for most radii; real-valued scores sum in float64.  A count of bits is
+an integer that float64 holds exactly, so the soft decoder gives the
+same mask for bits as for the same 0/1 values held as scores.
 """
 
 from __future__ import annotations
@@ -46,18 +46,15 @@ class QuantizationScheme:
     radii[n-1] <= v < radii[n], the last bin covering up to R.
     """
 
-    bins: int
     radius_cap: int
     radii: tuple[int, ...]
 
     def __post_init__(self):
-        if self.bins < 2:
-            raise ValueError(f"need at least 2 bins, got {self.bins}")
+        radii = tuple(int(r) for r in self.radii)
+        if len(radii) < 2:
+            raise ValueError(f"need at least 2 bins, got {len(radii)}")
         if self.radius_cap < 1:
             raise ValueError(f"radius cap must be >= 1, got {self.radius_cap}")
-        radii = tuple(int(r) for r in self.radii)
-        if len(radii) != self.bins:
-            raise ValueError(f"expected {self.bins} radii, got {len(radii)}")
         if radii[0] != 0:
             raise ValueError("first bin radius must be 0")
         if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -67,6 +64,10 @@ class QuantizationScheme:
                 f"largest bin radius {radii[-1]} exceeds radius cap {self.radius_cap}"
             )
         object.__setattr__(self, "radii", radii)
+
+    @property
+    def bins(self) -> int:
+        return len(self.radii)
 
 
 def make_uniform_scheme(bins: int, radius_cap: int) -> QuantizationScheme:
@@ -93,7 +94,7 @@ def make_uniform_scheme(bins: int, radius_cap: int) -> QuantizationScheme:
             f"bins would collide: {bins} uniform bins do not fit radius cap "
             f"{radius_cap}"
         )
-    return QuantizationScheme(bins, radius_cap, tuple(radii))
+    return QuantizationScheme(radius_cap, tuple(radii))
 
 
 def _frozen_planes(values, dtype, bins: int) -> np.ndarray:
@@ -108,7 +109,12 @@ def _frozen_planes(values, dtype, bins: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BitPlaneStack:
-    """One binary plane per quantization bin, same grid for all."""
+    """One binary plane per quantization bin, same grid for all.
+
+    `encode` and a strict read give one-hot stacks.  `corrupt` and a lax
+    read may set any number of bits at a pixel; only the hard decoder
+    rejects such a stack.
+    """
 
     planes: np.ndarray
     scheme: QuantizationScheme
@@ -135,18 +141,15 @@ class BitPlaneStack:
 class ProbPlaneStack:
     """Per-bin real-valued scores in [0, 1], one plane per bin.
 
-    Bool planes stay bool: each score is exactly 0 or 1, and
-    `_disk_sum` counts them in a narrow integer type.  Any other input
-    is converted to float64 and must lie in [0, 1]; NaN is rejected.
+    Scores are held as float64; NaN is rejected.
     """
 
     planes: np.ndarray
     scheme: QuantizationScheme
 
     def __post_init__(self):
-        dtype = bool if np.asarray(self.planes).dtype == bool else np.float64
-        arr = _frozen_planes(self.planes, dtype, self.scheme.bins)
-        if dtype is not bool and not ((arr >= 0.0) & (arr <= 1.0)).all():
+        arr = _frozen_planes(self.planes, np.float64, self.scheme.bins)
+        if not ((arr >= 0.0) & (arr <= 1.0)).all():
             raise ValueError("plane scores must lie in [0, 1]")
         object.__setattr__(self, "planes", arr)
 
@@ -157,37 +160,6 @@ class ProbPlaneStack:
     @property
     def width(self) -> int:
         return self.planes.shape[2]
-
-
-@dataclass(frozen=True)
-class SoftDecodeParams:
-    """Weighted-sum sigmoid decode parameters.
-
-    `weight` is either one shared coefficient or one per bin.  The
-    defaults place clean one-bit evidence at sigmoid(5) ~ 0.993 and
-    absence at sigmoid(-5) ~ 0.007, so a 0.4 threshold reproduces the
-    hard decoder on one-hot input.
-    """
-
-    weight: float | tuple[float, ...] = DEFAULT_SOFT_WEIGHT
-    bias: float = DEFAULT_SOFT_BIAS
-    threshold: float = DEFAULT_SOFT_THRESHOLD
-
-    def __post_init__(self):
-        if not (0.0 < self.threshold < 1.0):
-            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if not np.isfinite(self.weight).all():
-            raise ValueError(f"weight must be finite, got {self.weight}")
-        if not math.isfinite(self.bias):
-            raise ValueError(f"bias must be finite, got {self.bias}")
-
-    def weights_for(self, bins: int) -> np.ndarray:
-        if isinstance(self.weight, (int, float)):
-            return np.full(bins, float(self.weight))
-        w = np.asarray(self.weight, dtype=np.float64)
-        if w.shape != (bins,):
-            raise ValueError(f"expected {bins} weights, got shape {w.shape}")
-        return w
 
 
 def _disk_element(radius: int) -> np.ndarray:
@@ -311,35 +283,51 @@ def hard_decode_oracle(stack: BitPlaneStack, mode: str = "conservative") -> Bina
 
 
 def soft_decode(
-    stack: ProbPlaneStack,
-    params: SoftDecodeParams | None = None,
+    stack: BitPlaneStack | ProbPlaneStack,
     mode: str = "conservative",
+    *,
+    weight: float | tuple[float, ...] = DEFAULT_SOFT_WEIGHT,
+    bias: float = DEFAULT_SOFT_BIAS,
+    threshold: float = DEFAULT_SOFT_THRESHOLD,
 ) -> BinaryMask:
     """Threshold the sigmoid of summed disk-kernel responses.
 
-    Every plane is correlated with its painted-radius disk kernel, the
-    responses are combined as sigmoid(bias + sum_n w_n * resp_n), and
-    pixels at or above the threshold are object.
+    Every plane, bits or scores, is correlated with its painted-radius
+    disk kernel, the responses are combined as
+    sigmoid(bias + sum_n w_n * resp_n), and pixels at or above the
+    threshold are object.  `weight` is one shared coefficient or one per
+    bin.  The defaults place clean one-bit evidence at sigmoid(5) ~ 0.993
+    and absence at sigmoid(-5) ~ 0.007, so a 0.4 threshold reproduces
+    the hard decoder on one-hot input.
     """
-    if params is None:
-        params = SoftDecodeParams()
-    weights = params.weights_for(stack.scheme.bins)
-    total = np.full((stack.height, stack.width), params.bias, dtype=np.float64)
+    if not (0.0 < threshold < 1.0):
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    if not np.isfinite(weight).all():
+        raise ValueError(f"weight must be finite, got {weight}")
+    if not math.isfinite(bias):
+        raise ValueError(f"bias must be finite, got {bias}")
+    bins = stack.scheme.bins
+    if isinstance(weight, (int, float)):
+        weights = np.full(bins, float(weight))
+    else:
+        weights = np.asarray(weight, dtype=np.float64)
+        if weights.shape != (bins,):
+            raise ValueError(f"expected {bins} weights, got shape {weights.shape}")
+    total = np.full((stack.height, stack.width), bias, dtype=np.float64)
     for plane, bin_radius, w in zip(stack.planes, stack.scheme.radii, weights):
         painted = _painted_radius(bin_radius, mode)
         if painted is None:
             continue
         total += w * _disk_sum(plane, painted)
-    return BinaryMask(expit(total) >= params.threshold)
+    return BinaryMask(expit(total) >= threshold)
 
 
-def corrupt(stack: BitPlaneStack, flip_prob: float, seed: int) -> ProbPlaneStack:
+def corrupt(stack: BitPlaneStack, flip_prob: float, seed: int) -> BitPlaneStack:
     """Flip each bit independently with probability `flip_prob`.
 
-    Returns the result as bool planes, scores of exactly 0 or 1, so it
-    feeds the soft decoder, which counts them in narrow integers; the
-    flips are those of `numpy.random.default_rng(seed)`, making every
-    corruption reproducible from (stack, flip_prob, seed).
+    The result is a bit-plane stack that need not be one-hot, for the
+    soft decoder; the flips are those of `numpy.random.default_rng(seed)`,
+    making every corruption reproducible from (stack, flip_prob, seed).
     """
     if not (0.0 <= flip_prob <= 1.0):
         raise ValueError(f"flip probability must lie in [0, 1], got {flip_prob}")
@@ -349,4 +337,4 @@ def corrupt(stack: BitPlaneStack, flip_prob: float, seed: int) -> ProbPlaneStack
     # whole stack, so the flips are the same with a plane of floats alive.
     for plane in planes:
         plane ^= rng.random(plane.shape) < flip_prob
-    return ProbPlaneStack(planes, stack.scheme)
+    return BitPlaneStack(planes, stack.scheme)

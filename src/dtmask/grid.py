@@ -167,6 +167,11 @@ class BoxProposal:
             return "box"
         return "canvas"
 
+    @property
+    def _name(self) -> str:
+        b = self.box
+        return f"the proposal with box ({b.x0}, {b.y0}, {b.x1}, {b.y1})"
+
     def canvas_window(self, width: int, height: int) -> tuple[int, int, np.ndarray]:
         """The part of the proposal mask that lies on a width x height canvas.
 
@@ -178,14 +183,13 @@ class BoxProposal:
         when the proposal carries no mask.
         """
         if self.mask is None:
-            raise ValueError("proposal has no mask")
+            raise ValueError(f"{self._name} has no mask")
         if self.mask_anchor == "canvas":
             if (self.mask.height, self.mask.width) != (height, width):
-                b = self.box
                 raise ValueError(
-                    f"mask shape {self.mask.width}x{self.mask.height} of the proposal "
-                    f"with box ({b.x0}, {b.y0}, {b.x1}, {b.y1}) matches neither "
-                    f"its box extent {b.width}x{b.height} nor the canvas {width}x{height}"
+                    f"mask shape {self.mask.width}x{self.mask.height} of {self._name} "
+                    f"matches neither its box extent {self.box.width}x{self.box.height} "
+                    f"nor the canvas {width}x{height}"
                 )
             return 0, 0, self.mask.pixels
         part = _overlap(self.box, width, height)

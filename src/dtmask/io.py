@@ -263,7 +263,7 @@ def read_bps(path, lax: bool = False) -> BitPlaneStack:
     # One token at a time: the count is unchecked until the file runs out.
     radii = tuple(f.read_int(f"bin radius {n + 1}") for n in range(bins))
     try:
-        scheme = QuantizationScheme(bins, max(radii[-1], 1), radii)
+        scheme = QuantizationScheme(max(radii[-1], 1), radii)
     except ValueError as exc:
         raise f.error(str(exc)) from None
     stack = BitPlaneStack(f.bits((bins, f.height, f.width), "plane"), scheme)

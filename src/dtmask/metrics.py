@@ -209,8 +209,7 @@ def _average_precision(
     recall = tp_cum / iou_mat.shape[1]
     mrec = np.concatenate(([0.0], recall, [recall[-1]]))
     mpre = np.concatenate(([0.0], precision, [0.0]))
-    for k in range(len(mpre) - 2, -1, -1):
-        mpre[k] = max(mpre[k], mpre[k + 1])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
     steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
 

@@ -18,13 +18,18 @@ from dtmask import (
     LabelMap,
     QuantizationScheme,
     TruncatedDistanceMap,
-    SoftDecodeParams,
     box_iou,
     encode,
     mask_iou,
     truncated_edt,
 )
-from dtmask.codec import _disk_element, _painted_radius
+from dtmask.codec import (
+    DEFAULT_SOFT_BIAS,
+    DEFAULT_SOFT_THRESHOLD,
+    DEFAULT_SOFT_WEIGHT,
+    _disk_element,
+    _painted_radius,
+)
 from dtmask.grid import MAX_LABEL
 
 
@@ -89,7 +94,7 @@ def random_scheme(rng, max_bins=6) -> QuantizationScheme:
     for s in steps:
         radii.append(radii[-1] + int(s))
     cap = radii[-1] + int(rng.integers(0, 4))
-    return QuantizationScheme(bins, cap, tuple(radii))
+    return QuantizationScheme(cap, tuple(radii))
 
 
 def random_one_hot(rng, scheme, min_size=4, max_size=40) -> BitPlaneStack:
@@ -106,12 +111,17 @@ def tight_box(mask: BinaryMask) -> Box:
     return Box(int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
 
 
-def soft_decode_oracle(stack, params=None, mode="conservative") -> BinaryMask:
+def soft_decode_oracle(
+    stack,
+    mode="conservative",
+    *,
+    weight=DEFAULT_SOFT_WEIGHT,
+    bias=DEFAULT_SOFT_BIAS,
+    threshold=DEFAULT_SOFT_THRESHOLD,
+) -> BinaryMask:
     """Reference soft decode: direct 2-D correlation with each disk kernel."""
-    if params is None:
-        params = SoftDecodeParams()
-    weights = params.weights_for(stack.scheme.bins)
-    total = np.full((stack.height, stack.width), params.bias, dtype=np.float64)
+    weights = np.broadcast_to(np.asarray(weight, dtype=np.float64), stack.scheme.bins)
+    total = np.full((stack.height, stack.width), bias, dtype=np.float64)
     for plane, bin_radius, w in zip(stack.planes, stack.scheme.radii, weights):
         painted = _painted_radius(bin_radius, mode)
         if painted is None:
@@ -122,7 +132,7 @@ def soft_decode_oracle(stack, params=None, mode="conservative") -> BinaryMask:
             plane.astype(np.float64), kernel, mode="constant", cval=0.0
         )
         total += w * response
-    return BinaryMask(expit(total) >= params.threshold)
+    return BinaryMask(expit(total) >= threshold)
 
 
 def disk_sum_oracle(plane, radius) -> np.ndarray:
@@ -383,7 +393,7 @@ def read_bps_oracle(path, lax=False) -> BitPlaneStack:
         raise FormatError(f"plane count must be >= 2, got {bins}")
     radii = tuple(_int_token_oracle(tokens, 4 + n, f"bin radius {n + 1}") for n in range(bins))
     try:
-        scheme = QuantizationScheme(bins, max(radii[-1], 1), radii)
+        scheme = QuantizationScheme(max(radii[-1], 1), radii)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     bits = _bits_oracle(tokens[4 + bins :], bins * w * h, "plane")

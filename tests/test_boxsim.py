@@ -256,7 +256,7 @@ def _least_value_at_cap(spec, cap):
 
 
 def _two_bin_stack(size, radius, bits):
-    scheme = QuantizationScheme(2, radius, (0, radius))
+    scheme = QuantizationScheme(radius, (0, radius))
     planes = np.zeros((2, size, size), dtype=bool)
     for y, x in bits:
         planes[1, y, x] = True
@@ -336,7 +336,7 @@ class TestDecodeToCanvas:
     def test_upscaled_window_halves_painted_radius(self):
         # scale 2: bin radius 3 in normalized units paints
         # round-half-up(3/2) = 2 image pixels in literal mode
-        scheme = QuantizationScheme(2, 3, (0, 3))
+        scheme = QuantizationScheme(3, (0, 3))
         planes = np.zeros((2, 8, 8), dtype=bool)
         planes[1, 0, 0] = True
         planes[0] = ~planes[1]

@@ -579,12 +579,17 @@ class TestExitCodes:
             (["eval", "--ar-n=10,,100"], "empty item in list '10,,100'"),
             (["eval", "--ap-iou=0.5,"], "empty item in list '0.5,'"),
             (["bench", "--sizes=,16"], "empty item in list ',16'"),
+            (["softdecode", "--seed=-1"], "argument --seed: count must be >= 0, got -1"),
+            (["bench", "--sizes=0"], "sizes must be >= 1, got 0"),
+            (["bench", "--sizes=16,-3"], "sizes must be >= 1, got -3"),
+            (["bench", "--sizes=-3", "--seed=10"], "sizes must be >= 1, got -3"),
         ],
     )
     def test_argument_errors_name_the_reason(self, tmp_path, capsys, argv, message):
         inputs = {
             "boxsim": ["--labels", "l.pgm", "--id", 1, "--box", "4,4,28,28"],
             "eval": ["--proposals", "p.txt", "--gt", "g.pgm"],
+            "softdecode": ["--in", "s.bps"],
             "bench": [],
         }
         command, *flags = argv

@@ -8,7 +8,6 @@ from dtmask import (
     BitPlaneStack,
     ProbPlaneStack,
     QuantizationScheme,
-    SoftDecodeParams,
     TruncatedDistanceMap,
     boundary_set,
     corrupt,
@@ -36,19 +35,19 @@ from helpers import (
 class TestQuantizationScheme:
     def test_radii_must_start_at_zero(self):
         with pytest.raises(ValueError, match="first bin radius"):
-            QuantizationScheme(2, 5, (1, 3))
+            QuantizationScheme(5, (1, 3))
 
     def test_radii_strictly_increasing(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            QuantizationScheme(3, 5, (0, 2, 2))
+            QuantizationScheme(5, (0, 2, 2))
 
     def test_radii_within_cap(self):
         with pytest.raises(ValueError, match="exceeds radius cap"):
-            QuantizationScheme(2, 3, (0, 4))
+            QuantizationScheme(3, (0, 4))
 
     def test_needs_two_bins(self):
         with pytest.raises(ValueError):
-            QuantizationScheme(1, 3, (0,))
+            QuantizationScheme(3, (0,))
 
 
 class TestMakeUniformScheme:
@@ -86,7 +85,7 @@ class TestEncode:
     def test_singleton_bins_are_value_indicators(self):
         values = np.array([[0, 1], [2, 1]])
         stack = encode(
-            TruncatedDistanceMap(values, 2), QuantizationScheme(3, 2, (0, 1, 2))
+            TruncatedDistanceMap(values, 2), QuantizationScheme(2, (0, 1, 2))
         )
         for n in range(3):
             assert np.array_equal(stack.planes[n], values == n)
@@ -104,7 +103,7 @@ class TestEncode:
         values = np.array([[0, 1, top]])
         for radii, want in (((0, 1, top), [0, 1, 2]), ((0, 1, top + 1), [0, 1, 1])):
             cap = max(radii[-1], 10**30)
-            stack = encode(TruncatedDistanceMap(values, cap), QuantizationScheme(3, cap, radii))
+            stack = encode(TruncatedDistanceMap(values, cap), QuantizationScheme(cap, radii))
             assert stack.planes.argmax(axis=0).tolist() == [want]
 
     def test_cap_mismatch_rejected(self):
@@ -154,7 +153,7 @@ DISK13_5X5 = np.array(
 
 
 def _single_bit_stack(radius=2, size=5):
-    scheme = QuantizationScheme(2, radius, (0, radius))
+    scheme = QuantizationScheme(radius, (0, radius))
     planes = np.zeros((2, size, size), dtype=bool)
     planes[1, size // 2, size // 2] = True
     planes[0] = ~planes[1]
@@ -173,13 +172,13 @@ class TestHardDecode:
     def test_zero_bin_paints_nothing(self):
         planes = np.zeros((2, 4, 4), dtype=bool)
         planes[0] = True
-        stack = BitPlaneStack(planes, QuantizationScheme(2, 3, (0, 3)))
+        stack = BitPlaneStack(planes, QuantizationScheme(3, (0, 3)))
         for mode in ("conservative", "literal"):
             assert not hard_decode(stack, mode).pixels.any()
 
     def test_rejects_non_one_hot(self):
         planes = np.ones((2, 3, 3), dtype=bool)
-        stack = BitPlaneStack(planes, QuantizationScheme(2, 2, (0, 2)))
+        stack = BitPlaneStack(planes, QuantizationScheme(2, (0, 2)))
         with pytest.raises(ValueError, match="one-hot"):
             hard_decode(stack)
         with pytest.raises(ValueError, match="one-hot"):
@@ -319,16 +318,16 @@ class TestSoftDecode:
         for _ in range(40):
             scheme = random_scheme(rng)
             prob = corrupt(random_one_hot(rng, scheme, max_size=24), flip_prob, 7)
-            per_bin = SoftDecodeParams(
+            per_bin = dict(
                 weight=tuple(float(v) for v in rng.uniform(-2.0, 6.0, scheme.bins)),
                 bias=float(rng.uniform(-8.0, 0.0)),
                 threshold=float(rng.uniform(0.05, 0.95)),
             )
-            for params in (SoftDecodeParams(), per_bin):
+            for params in ({}, per_bin):
                 for mode in ("conservative", "literal"):
                     assert np.array_equal(
-                        soft_decode(prob, params, mode).pixels,
-                        soft_decode_oracle(prob, params, mode).pixels,
+                        soft_decode(prob, mode, **params).pixels,
+                        soft_decode_oracle(prob, mode, **params).pixels,
                     )
 
     def test_bool_and_float_zero_one_scores_decode_alike(self):
@@ -350,15 +349,15 @@ class TestSoftDecode:
             scheme = random_scheme(rng)
             h, w = (int(v) for v in rng.integers(1, 25, size=2))
             prob = ProbPlaneStack(rng.random((scheme.bins, h, w)), scheme)
-            params = SoftDecodeParams(
+            params = dict(
                 weight=tuple(float(v) for v in rng.uniform(-2.0, 6.0, scheme.bins)),
                 bias=float(rng.uniform(-8.0, 0.0)),
                 threshold=float(rng.uniform(0.05, 0.95)),
             )
             for mode in ("conservative", "literal"):
                 assert np.array_equal(
-                    soft_decode(prob, params, mode).pixels,
-                    soft_decode_oracle(prob, params, mode).pixels,
+                    soft_decode(prob, mode, **params).pixels,
+                    soft_decode_oracle(prob, mode, **params).pixels,
                 )
 
     def test_all_zero_planes_decode_empty(self):
@@ -367,29 +366,30 @@ class TestSoftDecode:
         assert not soft_decode(prob).pixels.any()
 
     def test_threshold_validated(self):
+        prob = ProbPlaneStack(np.zeros((2, 3, 3)), make_uniform_scheme(2, 1))
         with pytest.raises(ValueError):
-            SoftDecodeParams(threshold=0.0)
+            soft_decode(prob, threshold=0.0)
         with pytest.raises(ValueError):
-            SoftDecodeParams(threshold=1.0)
+            soft_decode(prob, threshold=1.0)
 
     @pytest.mark.parametrize(
         "kwargs",
         [{"weight": np.nan}, {"weight": -np.inf}, {"weight": (1.0, np.inf)}, {"bias": np.nan}],
     )
     def test_non_finite_weight_and_bias_rejected(self, kwargs):
+        prob = ProbPlaneStack(np.zeros((2, 3, 3)), make_uniform_scheme(2, 1))
         with pytest.raises(ValueError, match="must be finite"):
-            SoftDecodeParams(**kwargs)
+            soft_decode(prob, **kwargs)
 
     def test_per_bin_weights(self):
-        scheme = QuantizationScheme(2, 2, (0, 2))
+        scheme = QuantizationScheme(2, (0, 2))
         planes = np.zeros((2, 5, 5))
         planes[1, 2, 2] = 1.0
         prob = ProbPlaneStack(planes, scheme)
         # silencing the only active plane leaves nothing above threshold
-        silenced = SoftDecodeParams(weight=(10.0, 0.0))
-        assert not soft_decode(prob, silenced).pixels.any()
+        assert not soft_decode(prob, weight=(10.0, 0.0)).pixels.any()
         with pytest.raises(ValueError, match="weights"):
-            soft_decode(prob, SoftDecodeParams(weight=(1.0, 2.0, 3.0)))
+            soft_decode(prob, weight=(1.0, 2.0, 3.0))
 
     def test_prob_planes_validated(self):
         scheme = make_uniform_scheme(2, 1)

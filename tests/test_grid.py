@@ -135,6 +135,9 @@ class TestBoxProposal:
     def test_canvas_mask_without_mask(self):
         with pytest.raises(ValueError):
             BoxProposal(Box(0, 0, 1, 1), 0.5).canvas_mask(2, 2)
+        want = r"^the proposal with box \(10, 8, 32, 30\) has no mask$"
+        with pytest.raises(ValueError, match=want):
+            BoxProposal(Box(10, 8, 32, 30), 0.5).canvas_window(40, 40)
 
 
 class TestExtractInstance:

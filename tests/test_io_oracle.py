@@ -100,7 +100,7 @@ def stacks(draw):
     bins = draw(st.integers(2, 4))
     steps = draw(st.lists(st.integers(1, 4), min_size=bins - 1, max_size=bins - 1))
     radii = tuple(int(r) for r in np.cumsum([0, *steps]))
-    scheme = QuantizationScheme(bins, radii[-1] + draw(st.integers(0, 3)), radii)
+    scheme = QuantizationScheme(radii[-1] + draw(st.integers(0, 3)), radii)
     idx = np.array(draw(st.lists(st.integers(0, bins - 1), min_size=h * w, max_size=h * w)))
     planes = idx.reshape(1, h, w) == np.arange(bins).reshape(-1, 1, 1)
     return BitPlaneStack(planes, scheme)
