@@ -14,10 +14,8 @@ from .grid import (
     Box,
     BoxProposal,
     LabelMap,
-    crop,
     extract_instance,
     rasterize_box,
-    resize_nearest,
 )
 from .edt import (
     TruncatedDistanceMap,
@@ -34,7 +32,6 @@ from .codec import (
     corrupt,
     encode,
     hard_decode,
-    hard_decode_oracle,
     make_uniform_scheme,
     soft_decode,
 )
@@ -107,7 +104,6 @@ __all__ = [
     "box_iou",
     "brute_force_edt",
     "corrupt",
-    "crop",
     "decode_to_canvas",
     "edt_with_external_boundary",
     "encode",
@@ -116,7 +112,6 @@ __all__ = [
     "extract_instance",
     "greedy_match",
     "hard_decode",
-    "hard_decode_oracle",
     "interior_mask",
     "make_uniform_scheme",
     "mask_iou",
@@ -129,7 +124,6 @@ __all__ = [
     "read_mask",
     "read_proposals",
     "recall_curve",
-    "resize_nearest",
     "robustness_sweep",
     "shrink_perturbation",
     "soft_decode",

@@ -168,7 +168,7 @@ def encode_window(
     if full.radius_cap < need:
         raise ValueError(f"transform is capped at {full.radius_cap}, below the {need} this window reads")
     num, den = spec.min_scale_fraction()
-    window = sample_raster(full.values, spec.box, spec.norm_width, spec.norm_height, 0)
+    window = sample_raster(full.values, spec.box, spec.norm_width, spec.norm_height)
     scaled = (window.astype("int64") * num + den - 1) // den
     return encode(TruncatedDistanceMap(scaled.clip(max=cap), cap), scheme)
 

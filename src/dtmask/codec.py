@@ -162,12 +162,6 @@ class ProbPlaneStack:
         return self.planes.shape[2]
 
 
-def _disk_element(radius: int) -> np.ndarray:
-    """Boolean disk structuring element: center distance <= radius."""
-    d = np.arange(-radius, radius + 1, dtype=np.int64)
-    return (d[:, None] ** 2 + d[None, :] ** 2) <= radius * radius
-
-
 def _disk_sum(plane: np.ndarray, radius: int) -> np.ndarray:
     """Correlation of a plane with the radius-`radius` disk, zero outside.
 
@@ -251,34 +245,6 @@ def hard_decode(stack: BitPlaneStack, mode: str = "conservative") -> BinaryMask:
         if painted is None or not plane.any():
             continue
         out |= _disk_sum(plane, painted) > 0
-    return BinaryMask(out)
-
-
-def hard_decode_oracle(stack: BitPlaneStack, mode: str = "conservative") -> BinaryMask:
-    """Reference union-of-disks reconstruction, one pixel at a time.
-
-    Walks the raster in row-major order, reads each pixel's bin radius
-    off the one-hot stack, and stamps the clipped disk directly.  Slow
-    and deliberately naive; `hard_decode` must match it exactly.
-    """
-    if not stack.is_one_hot():
-        raise ValueError("stack is not one-hot; every pixel needs exactly one set bit")
-    radii = np.asarray(stack.scheme.radii, dtype=np.int64)
-    rep = (radii[:, None, None] * stack.planes).sum(axis=0)
-    h, w = rep.shape
-    out = np.zeros((h, w), dtype=bool)
-    for y in range(h):
-        for x in range(w):
-            painted = _painted_radius(int(rep[y, x]), mode)
-            if painted is None:
-                continue
-            element = _disk_element(painted)
-            y0, y1 = max(y - painted, 0), min(y + painted + 1, h)
-            x0, x1 = max(x - painted, 0), min(x + painted + 1, w)
-            out[y0:y1, x0:x1] |= element[
-                y0 - y + painted : y1 - y + painted,
-                x0 - x + painted : x1 - x + painted,
-            ]
     return BinaryMask(out)
 
 

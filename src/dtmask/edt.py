@@ -195,5 +195,5 @@ def edt_with_external_boundary(full_mask: BinaryMask, window: Box, radius_cap: i
     pixels are background and read 0.
     """
     full = truncated_edt(full_mask, radius_cap)
-    values = sample_raster(full.values, window, window.width, window.height, 0)
+    values = sample_raster(full.values, window, window.width, window.height)
     return TruncatedDistanceMap(values, radius_cap)

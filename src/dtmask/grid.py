@@ -230,35 +230,25 @@ def _nearest_pixels(start: int, length: int, cells: int) -> np.ndarray:
 
 
 def sample_raster(
-    raster: np.ndarray, box: Box, out_width: int, out_height: int, pad_value
+    raster: np.ndarray, box: Box, out_width: int, out_height: int
 ) -> np.ndarray:
     """Nearest-neighbor sample of `box` onto an out_width x out_height grid.
 
     Each cell copies the pixel whose center is nearest its own, ties
-    toward the lower index; cells whose pixel is off the raster read
-    `pad_value`.  Only the sampled pixels are gathered, never the box.
+    toward the lower index; cells whose pixel is off the raster read 0.
+    Only the sampled pixels are gathered, never the box.
     """
     if out_width < 1 or out_height < 1:
         raise ValueError("resize target must have positive dimensions")
     h, w = raster.shape
     ys = _nearest_pixels(box.y0, box.height, out_height)
     xs = _nearest_pixels(box.x0, box.width, out_width)
-    out = np.full((out_height, out_width), pad_value, dtype=raster.dtype)
+    out = np.zeros((out_height, out_width), dtype=raster.dtype)
     # The pixel indices increase, so the cells on the raster form one block.
     r0, r1 = np.searchsorted(ys, (0, h))
     c0, c1 = np.searchsorted(xs, (0, w))
     out[r0:r1, c0:c1] = raster[np.ix_(ys[r0:r1], xs[c0:c1])]
     return out
-
-
-def crop(mask: BinaryMask, box: Box, pad_value: bool = False) -> BinaryMask:
-    """Crop a mask to a box; pixels outside the mask become `pad_value`."""
-    return BinaryMask(sample_raster(mask.pixels, box, box.width, box.height, pad_value))
-
-
-def resize_nearest(mask: BinaryMask, out_width: int, out_height: int) -> BinaryMask:
-    box = Box(0, 0, mask.width, mask.height)
-    return BinaryMask(sample_raster(mask.pixels, box, out_width, out_height, False))
 
 
 def rasterize_box(box: Box, width: int, height: int) -> BinaryMask:

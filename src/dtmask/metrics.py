@@ -3,9 +3,11 @@
 Matching is the standard greedy protocol: proposals in strictly
 descending score (ties broken by ascending input index) each claim the
 unclaimed ground truth of highest IoU at or above the threshold, ties
-going to the lowest ground-truth index.  Everything downstream (recall
-curves, average recall, average precision) reuses that single matcher,
-so the metrics are mutually consistent and fully deterministic.
+going to the lowest ground-truth index.  It ranks each ground truth by
+the score-order position of its claimant; no claim depends on a lower
+score, so the top n proposals claim exactly the ranks below n.  One
+matching per IoU threshold thus gives recall at every budget, AR@N and
+AP, mutually consistent and fully deterministic.
 
 Mask IoUs are computed sparsely, after COCO's RLE `maskUtils.iou`: each
 mask is held once in local form (its tight bounding box clipped to the
@@ -155,14 +157,15 @@ def _proposal_gt_matrix(
     )
 
 
-def _greedy_pairs(
+def _claim_ranks(
     iou_mat: np.ndarray, order: Sequence[int], iou_thresh: float
-) -> list[tuple[int, int, float]]:
-    pairs = []
+) -> np.ndarray:
+    """Position in `order` of each ground truth's claimant, `len(order)` if none."""
+    ranks = np.full(iou_mat.shape[1], len(order))
     taken = np.zeros(iou_mat.shape[1], dtype=bool)
     # A row whose best IoU is below the threshold cannot claim anything.
     row_best = iou_mat.max(axis=1, initial=-1.0)
-    for i in order:
+    for pos, i in enumerate(order):
         if row_best[i] < iou_thresh:
             continue
         if taken.all():
@@ -171,8 +174,8 @@ def _greedy_pairs(
         j = int(row.argmax())  # argmax takes the lowest index on ties
         if row[j] >= iou_thresh:
             taken[j] = True
-            pairs.append((i, j, float(row[j])))
-    return pairs
+            ranks[j] = pos
+    return ranks
 
 
 def _check_ascending(thresholds: Sequence[float]) -> None:
@@ -185,33 +188,26 @@ def _check_budget(n: int) -> None:
         raise ValueError(f"proposal budget must be >= 1, got {n}")
 
 
-def _recall_curve(
-    iou_mat: np.ndarray, order: Sequence[int], thresholds: Sequence[float]
-) -> list[tuple[float, float]]:
-    n_gt = iou_mat.shape[1]
-    return [(float(t), len(_greedy_pairs(iou_mat, order, t)) / n_gt) for t in thresholds]
+def _recall(ranks: np.ndarray, n: int) -> float:
+    """Recall of the top n proposals; n must not exceed their count."""
+    return int(np.count_nonzero(ranks < n)) / ranks.size
 
 
-def _average_recall(iou_mat: np.ndarray, order: Sequence[int], n: int) -> float:
-    curve = _recall_curve(iou_mat, order[:n], AR_IOU_THRESHOLDS)
-    return sum(r for _, r in curve) / len(curve)
+def _mean_recall(ranks_at: dict[float, np.ndarray], n: int) -> float:
+    """Recall of the top n proposals averaged over `AR_IOU_THRESHOLDS`."""
+    return sum(_recall(ranks_at[t], n) for t in AR_IOU_THRESHOLDS) / len(AR_IOU_THRESHOLDS)
 
 
-def _average_precision(
-    iou_mat: np.ndarray, order: Sequence[int], iou_thresh: float
-) -> float:
-    if not order:
-        return 0.0
-    matched = {i for i, _, _ in _greedy_pairs(iou_mat, order, iou_thresh)}
-    tp = np.array([1.0 if i in matched else 0.0 for i in order])
-    tp_cum = tp.cumsum()
-    precision = tp_cum / np.arange(1, len(order) + 1)
-    recall = tp_cum / iou_mat.shape[1]
-    mrec = np.concatenate(([0.0], recall, [recall[-1]]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
-    steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
-    return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
+def _average_precision(ranks: np.ndarray, n_props: int) -> float:
+    """All-points AP: each hit's recall step times the best precision from it on.
+
+    Precision only falls between hits, so its envelope is read at hits alone.
+    """
+    hits = np.sort(ranks[ranks < n_props])
+    precision = np.arange(1, hits.size + 1) / (hits + 1)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    steps = np.diff(np.arange(hits.size + 1) / ranks.size)
+    return float((steps * envelope).sum())
 
 
 def greedy_match(
@@ -219,10 +215,13 @@ def greedy_match(
 ) -> MatchResult:
     """Match proposals to ground truths by mask IoU, greedily by score."""
     mat = _proposal_gt_matrix(proposals, gts)
-    pairs = _greedy_pairs(mat, _score_order(proposals), iou_thresh)
-    matched = {j for _, j, _ in pairs}
-    unmatched = tuple(j for j in range(len(gts)) if j not in matched)
-    return MatchResult(tuple(pairs), unmatched)
+    order = _score_order(proposals)
+    ranks = _claim_ranks(mat, order, iou_thresh).tolist()
+    claimed = sorted((r, j) for j, r in enumerate(ranks) if r < len(order))
+    return MatchResult(
+        tuple((order[r], j, float(mat[order[r], j])) for r, j in claimed),
+        tuple(j for j, r in enumerate(ranks) if r == len(order)),
+    )
 
 
 def recall_curve(
@@ -237,7 +236,8 @@ def recall_curve(
     """
     _check_ascending(thresholds)
     mat = _proposal_gt_matrix(proposals, gts)
-    return _recall_curve(mat, _score_order(proposals), thresholds)
+    order = _score_order(proposals)
+    return [(float(t), _recall(_claim_ranks(mat, order, t), len(order))) for t in thresholds]
 
 
 def top_scoring(proposals: Sequence[BoxProposal], n: int) -> list[BoxProposal]:
@@ -252,7 +252,9 @@ def average_recall(
     """Mean recall of the top-n proposals over the standard IoU grid."""
     _check_budget(n)
     mat = _proposal_gt_matrix(proposals, gts)
-    return _average_recall(mat, _score_order(proposals), n)
+    order = _score_order(proposals)[:n]
+    ranks_at = {t: _claim_ranks(mat, order, t) for t in AR_IOU_THRESHOLDS}
+    return _mean_recall(ranks_at, len(order))
 
 
 def average_precision(
@@ -265,7 +267,8 @@ def average_precision(
     recall points contribute (all-points interpolation).
     """
     mat = _proposal_gt_matrix(proposals, gts)
-    return _average_precision(mat, _score_order(proposals), iou_thresh)
+    order = _score_order(proposals)
+    return _average_precision(_claim_ranks(mat, order, iou_thresh), len(order))
 
 
 # Below this coordinate magnitude box areas and unions stay under 2**53,
@@ -339,20 +342,27 @@ def evaluate(
     ar_ns: Sequence[int] = (10, 100, 1000),
     ap_ious: Sequence[float] = (0.5, 0.7),
 ) -> EvalReport:
-    """Recall curve, AR@N, and AP in one pass over shared matching.
+    """Recall curve, AR@N, and AP from one matching per IoU threshold.
 
-    The proposal x ground-truth IoU matrix is built once; AR@N reads
-    its top-n rows in score order, and the curve (recall at each of
-    `AR_IOU_THRESHOLDS`) and AP read it whole.
+    The proposal x ground-truth IoU matrix is built once and matched at
+    each distinct threshold of `AR_IOU_THRESHOLDS` and `ap_ious`.  The
+    report keys results by budget and threshold, so repeats are rejected.
     """
     mat = _proposal_gt_matrix(proposals, gts)
     for n in ar_ns:
         _check_budget(n)
+    for what, values in (("AR budget", ar_ns), ("AP IoU threshold", ap_ious)):
+        repeated = [v for k, v in enumerate(values) if v in values[:k]]
+        if repeated:
+            raise ValueError(f"{what} {repeated[0]} is repeated")
     order = _score_order(proposals)
+    m = len(order)
+    thresholds = dict.fromkeys([*AR_IOU_THRESHOLDS, *ap_ious])
+    ranks_at = {t: _claim_ranks(mat, order, t) for t in thresholds}
     return EvalReport(
         num_ground_truth=len(gts),
         num_proposals=len(proposals),
-        curve=_recall_curve(mat, order, AR_IOU_THRESHOLDS),
-        ar_at_n={n: _average_recall(mat, order, n) for n in ar_ns},
-        ap_at={t: _average_precision(mat, order, t) for t in ap_ious},
+        curve=[(t, _recall(ranks_at[t], m)) for t in AR_IOU_THRESHOLDS],
+        ar_at_n={n: _mean_recall(ranks_at, min(n, m)) for n in ar_ns},
+        ap_at={t: _average_precision(ranks_at[t], m) for t in ap_ious},
     )

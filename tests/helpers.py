@@ -27,7 +27,6 @@ from dtmask.codec import (
     DEFAULT_SOFT_BIAS,
     DEFAULT_SOFT_THRESHOLD,
     DEFAULT_SOFT_WEIGHT,
-    _disk_element,
     _painted_radius,
 )
 from dtmask.grid import MAX_LABEL
@@ -153,6 +152,40 @@ def disk_sum_oracle(plane, radius) -> np.ndarray:
     return out
 
 
+def _disk_element(radius: int) -> np.ndarray:
+    """Boolean disk structuring element: center distance <= radius."""
+    d = np.arange(-radius, radius + 1, dtype=np.int64)
+    return (d[:, None] ** 2 + d[None, :] ** 2) <= radius * radius
+
+
+def hard_decode_oracle(stack: BitPlaneStack, mode: str = "conservative") -> BinaryMask:
+    """Reference union-of-disks reconstruction, one pixel at a time.
+
+    Walks the raster in row-major order, reads each pixel's bin radius
+    off the one-hot stack, and stamps the clipped disk directly.  Slow
+    and deliberately naive; `hard_decode` must match it exactly.
+    """
+    if not stack.is_one_hot():
+        raise ValueError("stack is not one-hot; every pixel needs exactly one set bit")
+    radii = np.asarray(stack.scheme.radii, dtype=np.int64)
+    rep = (radii[:, None, None] * stack.planes).sum(axis=0)
+    h, w = rep.shape
+    out = np.zeros((h, w), dtype=bool)
+    for y in range(h):
+        for x in range(w):
+            painted = _painted_radius(int(rep[y, x]), mode)
+            if painted is None:
+                continue
+            element = _disk_element(painted)
+            y0, y1 = max(y - painted, 0), min(y + painted + 1, h)
+            x0, x1 = max(x - painted, 0), min(x + painted + 1, w)
+            out[y0:y1, x0:x1] |= element[
+                y0 - y + painted : y1 - y + painted,
+                x0 - x + painted : x1 - x + painted,
+            ]
+    return BinaryMask(out)
+
+
 def decode_to_canvas_oracle(
     stack, spec, canvas_width, canvas_height, mode="conservative"
 ) -> BinaryMask:
@@ -186,10 +219,10 @@ def decode_to_canvas_oracle(
     return BinaryMask(canvas)
 
 
-def crop_raster_oracle(raster, box, pad_value) -> np.ndarray:
-    """Reference crop: the whole box, pixels off the raster read `pad_value`."""
+def crop_raster_oracle(raster, box) -> np.ndarray:
+    """Reference crop: the whole box, pixels off the raster read 0."""
     h, w = raster.shape
-    out = np.full((box.height, box.width), pad_value, dtype=raster.dtype)
+    out = np.zeros((box.height, box.width), dtype=raster.dtype)
     x0, x1 = max(box.x0, 0), min(box.x1, w)
     y0, y1 = max(box.y0, 0), min(box.y1, h)
     if x0 < x1 and y0 < y1:
@@ -216,7 +249,7 @@ def encode_window_oracle(full_mask, spec, scheme) -> BitPlaneStack:
     cap = scheme.radius_cap
     pre_cap = max(cap, (cap * den + num - 1) // num)
     full = truncated_edt(full_mask, pre_cap).values
-    window = crop_raster_oracle(full, spec.box, 0)
+    window = crop_raster_oracle(full, spec.box)
     resized = resize_nearest_raster_oracle(window, spec.norm_width, spec.norm_height)
     values = np.minimum((resized.astype(np.int64) * num + den - 1) // den, cap)
     return encode(TruncatedDistanceMap(values, cap), scheme)

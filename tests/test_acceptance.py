@@ -28,7 +28,6 @@ from dtmask import (
     corrupt,
     encode,
     hard_decode,
-    hard_decode_oracle,
     interior_mask,
     make_uniform_scheme,
     mask_iou,
@@ -47,6 +46,7 @@ from dtmask.cli import build_parser, main
 
 from helpers import (
     disk_mask,
+    hard_decode_oracle,
     l_mask,
     random_mask,
     random_one_hot,

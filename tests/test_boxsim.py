@@ -15,7 +15,6 @@ from dtmask import (
     RobustnessRecord,
     TruncatedDistanceMap,
     WindowSpec,
-    crop,
     decode_to_canvas,
     encode,
     encode_window,
@@ -149,7 +148,8 @@ class TestEncodeWindow:
         box = Box(4, 4, 28, 28)
         scheme = make_uniform_scheme(5, 13)
         got = encode_window(untruncated(mask), WindowSpec(box, box.width, box.height), scheme)
-        want = encode(truncated_edt(crop(mask, box), 13), scheme)
+        window = BinaryMask(crop_raster_oracle(mask.pixels, box))
+        want = encode(truncated_edt(window, 13), scheme)
         assert np.array_equal(got.planes, want.planes)
 
     def test_cut_box_keeps_deep_values_at_the_cut(self):
@@ -197,7 +197,7 @@ class TestEncodeWindow:
 
             num, den = spec.min_scale_fraction()
             pre_cap = max(13, math.ceil(Fraction(13 * den, num)))
-            window = crop_raster_oracle(truncated_edt(mask, pre_cap).values, box, 0)
+            window = crop_raster_oracle(truncated_edt(mask, pre_cap).values, box)
             resized = resize_nearest_raster_oracle(window, nw, nh)
             scale = Fraction(num, den)
             want = np.array(

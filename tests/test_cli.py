@@ -2,6 +2,7 @@ import argparse
 import shutil
 import subprocess
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from dtmask import (
 from dtmask.cli import _provenance, build_parser, main
 
 from helpers import disk_raster
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(*argv):
@@ -482,6 +485,25 @@ class TestEval:
             "eval", "--proposals", plist, "--gt", gt, "--out", tmp_path / "o.csv"
         ) == 2
 
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--ar-n", "10,10", "--ap-iou", "0.5,0.50"], "AR budget 10 is repeated"),
+            (["--ap-iou", "0.5,0.50"], "AP IoU threshold 0.5 is repeated"),
+        ],
+    )
+    def test_repeated_values_rejected(self, tmp_path, capsys, flags, message):
+        # the report has one row per budget and threshold, so a repeat
+        # would silently drop a row
+        out = tmp_path / "o.csv"
+        code = run(
+            "eval", "--proposals", GOLDEN / "proposals.txt", "--gt", GOLDEN / "scene.pgm",
+            *flags, "--out", out,
+        )
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["99999999999999999999", "4294967297"])
     def test_label_beyond_int32_is_a_format_error(self, tmp_path, capsys, value):

@@ -13,7 +13,6 @@ from dtmask import (
     corrupt,
     encode,
     hard_decode,
-    hard_decode_oracle,
     interior_mask,
     make_uniform_scheme,
     soft_decode,
@@ -24,6 +23,7 @@ from dtmask.codec import _disk_sum
 
 from helpers import (
     disk_sum_oracle,
+    hard_decode_oracle,
     random_mask,
     random_one_hot,
     random_scheme,

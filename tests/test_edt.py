@@ -10,7 +10,6 @@ from dtmask import (
     TruncatedDistanceMap,
     boundary_set,
     brute_force_edt,
-    crop,
     edt_with_external_boundary,
     interior_mask,
     truncated_edt,
@@ -18,7 +17,7 @@ from dtmask import (
 from dtmask.edt import BAND_LIMIT
 from dtmask.grid import _reach
 
-from helpers import disk_mask, random_mask
+from helpers import crop_raster_oracle, disk_mask, random_mask
 
 
 class TestBoundarySet:
@@ -193,7 +192,7 @@ class TestExternalBoundary:
         m = disk_mask(32, 32, 16, 16, 6)
         box = Box(4, 4, 28, 28)  # margin 6 >= radius cap
         out = edt_with_external_boundary(m, box, 5)
-        plain = truncated_edt(crop(m, box), 5)
+        plain = truncated_edt(BinaryMask(crop_raster_oracle(m.pixels, box)), 5)
         assert np.array_equal(out.values, plain.values)
 
     def test_cut_disk_keeps_true_distances(self):

@@ -6,10 +6,8 @@ from dtmask import (
     Box,
     BoxProposal,
     LabelMap,
-    crop,
     extract_instance,
     rasterize_box,
-    resize_nearest,
 )
 from dtmask.grid import MAX_LABEL, sample_raster
 
@@ -179,25 +177,34 @@ class TestExtractInstance:
             assert np.array_equal(union, labels > 0)
 
 
+def crop(raster, box):
+    """`sample_raster` at the box's own extent: a crop."""
+    return sample_raster(raster, box, box.width, box.height)
+
+
+def resize(raster, out_width, out_height):
+    """`sample_raster` over the whole raster: a nearest resize."""
+    h, w = raster.shape
+    return sample_raster(raster, Box(0, 0, w, h), out_width, out_height)
+
+
 class TestCrop:
     def test_full_image_identity(self):
         rng = np.random.default_rng(3)
         m = random_mask(rng)
-        out = crop(m, Box(0, 0, m.width, m.height))
-        assert np.array_equal(out.pixels, m.pixels)
+        out = crop(m.pixels, Box(0, 0, m.width, m.height))
+        assert np.array_equal(out, m.pixels)
 
     def test_fully_outside_pads(self):
         m = BinaryMask(np.ones((4, 4), dtype=bool))
-        out = crop(m, Box(10, 10, 13, 12))
-        assert out.pixels.shape == (2, 3) and not out.pixels.any()
-        padded = crop(m, Box(10, 10, 13, 12), pad_value=True)
-        assert padded.pixels.all()
+        out = crop(m.pixels, Box(10, 10, 13, 12))
+        assert out.shape == (2, 3) and not out.any()
 
     def test_against_per_pixel_copy(self):
         rng = np.random.default_rng(11)
         m = BinaryMask(rng.random((8, 8)) < 0.5)
         box = Box(2, 2, 6, 6)
-        out = crop(m, box).pixels
+        out = crop(m.pixels, box)
         for y in range(box.height):
             for x in range(box.width):
                 assert out[y, x] == m.pixels[box.y0 + y, box.x0 + x]
@@ -206,7 +213,7 @@ class TestCrop:
         rng = np.random.default_rng(12)
         m = BinaryMask(rng.random((6, 7)) < 0.5)
         box = Box(-2, 3, 4, 9)
-        out = crop(m, box).pixels
+        out = crop(m.pixels, box)
         for y in range(box.height):
             for x in range(box.width):
                 gy, gx = box.y0 + y, box.x0 + x
@@ -231,21 +238,21 @@ class TestCrop:
                 outer.x0 + inner.x1,
                 outer.y0 + inner.y1,
             )
-            a = crop(crop(m, outer), inner)
-            b = crop(m, composed)
-            assert np.array_equal(a.pixels, b.pixels)
+            a = crop(crop(m.pixels, outer), inner)
+            b = crop(m.pixels, composed)
+            assert np.array_equal(a, b)
 
 
 class TestResizeNearest:
     def test_identity(self):
         rng = np.random.default_rng(5)
         m = random_mask(rng)
-        out = resize_nearest(m, m.width, m.height)
-        assert np.array_equal(out.pixels, m.pixels)
+        out = resize(m.pixels, m.width, m.height)
+        assert np.array_equal(out, m.pixels)
 
     def test_block_replication(self):
         m = BinaryMask(np.array([[1, 0], [0, 0]], dtype=bool))
-        out = resize_nearest(m, 4, 4).pixels
+        out = resize(m.pixels, 4, 4)
         want = np.zeros((4, 4), dtype=bool)
         want[:2, :2] = True
         assert np.array_equal(out, want)
@@ -255,9 +262,9 @@ class TestResizeNearest:
         for _ in range(30):
             m = random_mask(rng, min_size=4, max_size=32)
             f = int(rng.integers(2, 5))
-            up = resize_nearest(m, m.width * f, m.height * f)
-            back = resize_nearest(up, m.width, m.height)
-            assert np.array_equal(back.pixels, m.pixels)
+            up = resize(m.pixels, m.width * f, m.height * f)
+            back = resize(up, m.width, m.height)
+            assert np.array_equal(back, m.pixels)
 
     def test_sampling_rule_matches_float_form(self):
         rng = np.random.default_rng(8)
@@ -265,7 +272,7 @@ class TestResizeNearest:
             m = random_mask(rng, min_size=2, max_size=24)
             ow = int(rng.integers(1, 40))
             oh = int(rng.integers(1, 40))
-            got = resize_nearest(m, ow, oh).pixels
+            got = resize(m.pixels, ow, oh)
             for i in range(oh):
                 for j in range(ow):
                     sy = int(np.floor((i + 0.5) * m.height / oh))
@@ -275,11 +282,11 @@ class TestResizeNearest:
     def test_rejects_degenerate_target(self):
         m = BinaryMask(np.ones((2, 2), dtype=bool))
         with pytest.raises(ValueError):
-            resize_nearest(m, 0, 4)
+            resize(m.pixels, 0, 4)
 
     def test_raster_variant_preserves_dtype(self):
         arr = np.arange(12, dtype=np.int32).reshape(3, 4)
-        out = sample_raster(arr, Box(0, 0, 4, 3), 8, 6, 0)
+        out = sample_raster(arr, Box(0, 0, 4, 3), 8, 6)
         assert out.dtype == np.int32 and out.shape == (6, 8)
 
 
@@ -292,17 +299,15 @@ class TestSampleRaster:
             h, w = (int(v) for v in rng.integers(1, 41, size=2))
             if trial % 2:
                 raster = rng.random((h, w)) < 0.5
-                pad = bool(rng.integers(0, 2))
             else:
                 raster = rng.integers(0, 1000, size=(h, w)).astype(np.int32)
-                pad = int(rng.integers(-5, 5))
             x0 = int(rng.integers(-2 * w, 2 * w))
             y0 = int(rng.integers(-2 * h, 2 * h))
             box = Box(x0, y0, x0 + int(rng.integers(1, 3 * w + 1)),
                       y0 + int(rng.integers(1, 3 * h + 1)))
             ow, oh = (int(v) for v in rng.integers(1, 49, size=2))
-            got = sample_raster(raster, box, ow, oh, pad)
-            want = resize_nearest_raster_oracle(crop_raster_oracle(raster, box, pad), ow, oh)
+            got = sample_raster(raster, box, ow, oh)
+            want = resize_nearest_raster_oracle(crop_raster_oracle(raster, box), ow, oh)
             assert got.dtype == raster.dtype
             assert np.array_equal(got, want)
 
@@ -316,5 +321,5 @@ def test_rasterize_box_clips():
 
 def test_crop_raster_pad_value_dtype():
     arr = np.arange(9, dtype=np.int64).reshape(3, 3)
-    out = sample_raster(arr, Box(2, 2, 5, 5), 3, 3, 7)
-    assert out[0, 0] == 8 and out[2, 2] == 7 and out.dtype == np.int64
+    out = sample_raster(arr, Box(2, 2, 5, 5), 3, 3)
+    assert out[0, 0] == 8 and out[2, 2] == 0 and out.dtype == np.int64

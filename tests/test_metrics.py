@@ -332,6 +332,16 @@ class TestEvaluate:
         assert report.ar_at_n == {10: 1.0, 100: 1.0, 1000: 1.0}
         assert report.ap_at == {0.5: 1.0, 0.7: 1.0}
 
+    def test_repeated_budget_or_threshold_rejected(self):
+        # the report keys results by budget and threshold, so a repeat
+        # would silently drop a row
+        gts = [bar(20, 0, 8)]
+        props = [bar_proposal(20, 0, 8, 0.9)]
+        with pytest.raises(ValueError, match="AR budget 10 is repeated"):
+            evaluate(props, gts, (10, 100, 10))
+        with pytest.raises(ValueError, match=r"AP IoU threshold 0\.5 is repeated"):
+            evaluate(props, gts, ap_ious=(0.5, 0.7, 0.5))
+
 
 def _random_canvas_mask(rng, h, w):
     if rng.random() < 0.2:
@@ -360,6 +370,57 @@ def _random_scene(rng, max_props=12):
         else:
             props.append(BoxProposal(box, score, _random_canvas_mask(rng, bh, bw)))
     return props, gts
+
+
+def _ap_reference(props, gts, thresh):
+    """All-points AP in plain Python from `_greedy_reference`'s pairs."""
+    order = sorted(range(len(props)), key=lambda i: (-props[i].score, i))
+    matched = {i for i, _, _ in _greedy_reference(props, gts, thresh)}
+    precision, recall, tp = [], [], 0
+    for k, i in enumerate(order, start=1):
+        tp += i in matched
+        precision.append(tp / k)
+        recall.append(tp / len(gts))
+    ap, prev = 0.0, 0.0
+    for k, r in enumerate(recall):
+        if r != prev:
+            ap += (r - prev) * max(precision[k:])
+            prev = r
+    return ap
+
+
+class TestAgainstReference:
+    """Every budget and threshold against the reference on top-n prefixes."""
+
+    THRESHOLDS = (0.0, *AR_IOU_THRESHOLDS, 1.0)
+
+    def test_recall_ar_and_ap(self):
+        rng = np.random.default_rng(439)
+        for _ in range(80):
+            props, gts = _random_scene(rng)  # scores tie often
+            order = sorted(range(len(props)), key=lambda i: (-props[i].score, i))
+
+            def recall(n, t):
+                top = [props[i] for i in order[:n]]
+                return len(_greedy_reference(top, gts, t)) / len(gts)
+
+            m = len(props)
+            budgets = list(dict.fromkeys(n for n in (1, m - 1, m, m + 3, 10**30) if n >= 1))
+            want_ar = {
+                n: sum(recall(n, t) for t in AR_IOU_THRESHOLDS) / len(AR_IOU_THRESHOLDS)
+                for n in budgets
+            }
+            want_ap = {t: _ap_reference(props, gts, t) for t in self.THRESHOLDS}
+            want_curve = [(t, recall(m, t)) for t in self.THRESHOLDS]
+            report = evaluate(props, gts, budgets, self.THRESHOLDS)
+            assert report.ar_at_n == want_ar
+            assert report.ap_at == want_ap
+            assert report.curve == want_curve[1:-1]
+            assert {n: average_recall(props, gts, n) for n in budgets} == want_ar
+            assert {t: average_precision(props, gts, t) for t in self.THRESHOLDS} == want_ap
+            assert recall_curve(props, gts, self.THRESHOLDS) == want_curve
+            values = [*report.ar_at_n.values(), *report.ap_at.values()]
+            assert all(type(v) is float for v in values + [r for _, r in report.curve])
 
 
 class TestSparseIouMatrix:
@@ -461,6 +522,25 @@ class TestSharedMatrix:
         assert calls == [(len(props), len(gts))]
         nms(props, 0.3)
         nms(props, 0.3, use_masks=True, canvas_size=(16, 16))
+
+    def test_evaluate_matches_once_per_distinct_threshold(self, monkeypatch):
+        # AR@N at every budget, the curve and AP all read one matching
+        # per threshold; the default AP thresholds lie on the AR grid
+        rng = np.random.default_rng(437)
+        props, gts = _random_scene(rng)
+        claim_ranks = metrics._claim_ranks
+        calls = []
+
+        def counting(iou_mat, order, iou_thresh):
+            calls.append(iou_thresh)
+            return claim_ranks(iou_mat, order, iou_thresh)
+
+        monkeypatch.setattr(metrics, "_claim_ranks", counting)
+        evaluate(props, gts)
+        assert calls == list(AR_IOU_THRESHOLDS)
+        calls.clear()
+        evaluate(props, gts, (1, 5, 10**30), (0.0, 0.7, 1.0))
+        assert calls == [*AR_IOU_THRESHOLDS, 0.0, 1.0]
 
 
 def test_standard_constants():

@@ -11,3 +11,8 @@ def test_all_lists_exactly_the_public_names():
     }
     assert set(dtmask.__all__) == public
     assert len(dtmask.__all__) == len(public)
+
+
+def test_no_oracle_is_public():
+    # reference implementations live with the tests, not in the package
+    assert [name for name in dtmask.__all__ if name.endswith("_oracle")] == []
