@@ -15,7 +15,6 @@ from .grid import (
     BoxProposal,
     LabelMap,
     extract_instance,
-    rasterize_box,
 )
 from .edt import (
     TruncatedDistanceMap,
@@ -117,7 +116,6 @@ __all__ = [
     "mask_iou",
     "nms",
     "perturb_box",
-    "rasterize_box",
     "read_bps",
     "read_dtm",
     "read_label_map",

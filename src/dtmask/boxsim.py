@@ -4,8 +4,11 @@ The experiment mimics a detector handing the codec an imperfect box.
 A window around an instance is normalized to a fixed size, encoded
 against the true object boundary of the full image (so a box cutting
 the object still sees large distances at the cut), decoded back onto
-the full canvas where disks may extend past the box, and compared with
-the instance interior both with and without clipping to the box.  The
+the image where disks may extend past the box, and compared with the
+instance interior both with and without clipping to the box.  A sweep
+decodes each window only where it can paint, the box padded by the
+largest painted radius, and scores all of its comparisons in one call
+of `metrics._iou_matrix`, the IoU kernel eval and mask NMS use.  The
 full-image transform is the same for every box of a sweep, so a sweep
 computes it once and samples each window's cells from it.  Under a
 window's scale num/den a stored value v scales to ceil(v * num / den),
@@ -24,6 +27,7 @@ integer round-half-up.  Records are therefore reproducible bit for bit.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,7 +39,6 @@ from .grid import (
     _nearest_pixels,
     _overlap,
     _reach,
-    rasterize_box,
     sample_raster,
 )
 from .edt import TruncatedDistanceMap, interior_mask, truncated_edt
@@ -47,7 +50,7 @@ from .codec import (
     encode,
     make_uniform_scheme,
 )
-from .metrics import mask_iou
+from .metrics import _iou_matrix, _local_masks
 
 DEFAULT_NORM_SIZE = 28
 
@@ -82,8 +85,14 @@ class Perturbation:
     sy: float = 1.0
 
     def __post_init__(self):
-        if self.sx <= 0 or self.sy <= 0:
-            raise ValueError("scale factors must be positive")
+        for name in ("dx", "dy"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)):
+                raise ValueError(f"shift {name} must be an integer, got {v!r}")
+        for name in ("sx", "sy"):
+            v = getattr(self, name)
+            if not 0 < v <= sys.float_info.max:
+                raise ValueError(f"scale factor {name} must be finite and positive, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -181,6 +190,52 @@ def _read_cap(spec: WindowSpec, radius_cap: int) -> int:
     return (radius_cap - 1) * den // num + 1
 
 
+def _decode_window(
+    stack: BitPlaneStack, spec: WindowSpec, canvas_width: int, canvas_height: int, mode: str
+) -> tuple[int, int, np.ndarray]:
+    """What `decode_to_canvas` paints, as (x, y, pixels): the canvas
+    position of the window's top-left pixel and the pixels there.  The
+    window is the box padded by the largest painted radius, cut to the
+    canvas; a stack that paints nothing there gives an empty 0 x 0
+    window at (0, 0)."""
+    num, den = spec.min_scale_fraction()
+    box = spec.box
+    radii = [_painted_radius(r, mode, num, den) for r in stack.scheme.radii]
+    paint = [(plane, r) for plane, r in zip(stack.planes, radii) if r is not None and plane.any()]
+    pad = max((r for _, r in paint), default=0)
+    part = _overlap(Box(box.x0 - pad, box.y0 - pad, box.x1 + pad, box.y1 + pad), canvas_width, canvas_height)
+    if not paint or part is None:
+        return 0, 0, np.zeros((0, 0), dtype=bool)
+    (rows, cols), _ = part
+    x, y = cols.start, rows.start
+    width, height = cols.stop - x, rows.stop - y
+    window = np.zeros((height, width), dtype=bool)
+    map_x = _nearest_pixels(box.x0 - x, box.width, spec.norm_width)
+    map_y = _nearest_pixels(box.y0 - y, box.height, spec.norm_height)
+    for plane, painted in paint:
+        ys, xs = np.nonzero(plane)
+        # Scatter the mapped centres into a local raster spanning their
+        # bounding box padded by the painted radius, cut to the bounding
+        # box of the window and the centres.  The cut is exact: it keeps
+        # every centre and every window pixel a disk can reach, and
+        # `_disk_sum` clamps the radius to the local raster's reach.
+        cy, cx = map_y[ys], map_x[xs]
+        x0, y0, x1, y1 = int(cx.min()), int(cy.min()), int(cx.max()) + 1, int(cy.max()) + 1
+        span = Box(
+            max(x0 - painted, min(x0, 0)),
+            max(y0 - painted, min(y0, 0)),
+            min(x1 + painted, max(x1, width)),
+            min(y1 + painted, max(y1, height)),
+        )
+        local = np.zeros((span.height, span.width), dtype=bool)
+        local[cy - span.y0, cx - span.x0] = True
+        part = _overlap(span, width, height)
+        if part is not None:
+            in_window, in_local = part
+            window[in_window] |= (_disk_sum(local, painted) > 0)[in_local]
+    return x, y, window
+
+
 def decode_to_canvas(
     stack: BitPlaneStack,
     spec: WindowSpec,
@@ -199,35 +254,9 @@ def decode_to_canvas(
         raise ValueError("canvas dimensions must be >= 1")
     if (stack.height, stack.width) != (spec.norm_height, spec.norm_width):
         raise ValueError("stack dimensions do not match the normalized window")
-    num, den = spec.min_scale_fraction()
-    box = spec.box
-    map_x = _nearest_pixels(box.x0, box.width, spec.norm_width)
-    map_y = _nearest_pixels(box.y0, box.height, spec.norm_height)
+    x, y, window = _decode_window(stack, spec, canvas_width, canvas_height, mode)
     canvas = np.zeros((canvas_height, canvas_width), dtype=bool)
-    for plane, bin_radius in zip(stack.planes, stack.scheme.radii):
-        painted = _painted_radius(bin_radius, mode, num, den)
-        if painted is None or not plane.any():
-            continue
-        ys, xs = np.nonzero(plane)
-        # Scatter the mapped centres into a local raster spanning their
-        # bounding box padded by the painted radius, cut to the bounding
-        # box of the canvas and the centres.  The cut is exact: it keeps
-        # every centre and every canvas pixel a disk can reach, and
-        # `_disk_sum` clamps the radius to the local raster's reach.
-        cy, cx = map_y[ys], map_x[xs]
-        x0, y0, x1, y1 = int(cx.min()), int(cy.min()), int(cx.max()) + 1, int(cy.max()) + 1
-        span = Box(
-            max(x0 - painted, min(x0, 0)),
-            max(y0 - painted, min(y0, 0)),
-            min(x1 + painted, max(x1, canvas_width)),
-            min(y1 + painted, max(y1, canvas_height)),
-        )
-        local = np.zeros((span.height, span.width), dtype=bool)
-        local[cy - span.y0, cx - span.x0] = True
-        part = _overlap(span, canvas_width, canvas_height)
-        if part is not None:
-            on_canvas, in_local = part
-            canvas[on_canvas] |= (_disk_sum(local, painted) > 0)[in_local]
+    canvas[y : y + window.shape[0], x : x + window.shape[1]] = window
     return BinaryMask(canvas)
 
 
@@ -257,20 +286,16 @@ def robustness_sweep(
     need = max((_read_cap(spec, scheme.radius_cap) for spec in specs), default=1)
     full = truncated_edt(full_mask, min(_reach(height, width), need))
 
-    records = []
-    for pert, spec in zip(perturbations, specs):
+    # Every unclipped window, then its cut to the box, in one IoU matrix.
+    windows = []
+    for spec in specs:
+        x, y, pixels = _decode_window(encode_window(full, spec, scheme), spec, width, height, mode)
         box = spec.box
-        stack = encode_window(full, spec, scheme)
-        beyond = decode_to_canvas(stack, spec, width, height, mode)
-        inside = BinaryMask(beyond.pixels & rasterize_box(box, width, height).pixels)
-        records.append(
-            RobustnessRecord(
-                dx=pert.dx,
-                dy=pert.dy,
-                sx=pert.sx,
-                sy=pert.sy,
-                iou_beyond=mask_iou(beyond, target),
-                iou_inside=mask_iou(inside, target),
-            )
-        )
-    return records
+        x0, y0 = max(box.x0 - x, 0), max(box.y0 - y, 0)
+        inside = pixels[y0 : max(box.y1 - y, 0), x0 : max(box.x1 - x, 0)]
+        windows += [(x, y, pixels), (x + x0, y + y0, inside)]
+    ious = _iou_matrix(_local_masks(windows), _local_masks([(0, 0, target.pixels)]))[:, 0].tolist()
+    return [
+        RobustnessRecord(pert.dx, pert.dy, pert.sx, pert.sy, beyond, inside)
+        for pert, beyond, inside in zip(perturbations, ious[::2], ious[1::2])
+    ]

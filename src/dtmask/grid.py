@@ -249,12 +249,3 @@ def sample_raster(
     c0, c1 = np.searchsorted(xs, (0, w))
     out[r0:r1, c0:c1] = raster[np.ix_(ys[r0:r1], xs[c0:c1])]
     return out
-
-
-def rasterize_box(box: Box, width: int, height: int) -> BinaryMask:
-    """Mask of the box interior on a width x height canvas, clipped."""
-    out = np.zeros((height, width), dtype=bool)
-    part = _overlap(box, width, height)
-    if part is not None:
-        out[part[0]] = True
-    return BinaryMask(out)

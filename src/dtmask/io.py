@@ -342,8 +342,8 @@ def write_csv(path, header: list[str], rows, comments=()) -> None:
 def _csv_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "yes" if v else "no"
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     return str(v)

@@ -14,7 +14,8 @@ mask is held once in local form (its tight bounding box clipped to the
 canvas, the raster inside that box, and its pixel count), and pixels
 are intersected only for pairs whose boxes overlap.  No full-canvas
 mask is built for a box-anchored proposal.  The result equals
-`mask_iou` of the full-canvas masks exactly, cell by cell.
+`mask_iou` of the full-canvas masks exactly, cell by cell.  This one
+kernel scores eval, mask NMS and `boxsim.robustness_sweep`.
 """
 
 from __future__ import annotations

@@ -51,6 +51,13 @@ def rect_mask(h, w, y0, x0, y1, x1) -> BinaryMask:
     return BinaryMask(m)
 
 
+def rasterize_box(box, width, height) -> BinaryMask:
+    """Mask of the box interior on a width x height canvas, clipped."""
+    m = np.zeros((height, width), dtype=bool)
+    m[max(box.y0, 0) : max(box.y1, 0), max(box.x0, 0) : max(box.x1, 0)] = True
+    return BinaryMask(m)
+
+
 def l_mask(h, w, y0, x0, arm_len, thickness) -> BinaryMask:
     """L shape: vertical arm down from (y0, x0), horizontal arm at its foot."""
     m = np.zeros((h, w), dtype=bool)

@@ -32,7 +32,6 @@ from dtmask import (
     make_uniform_scheme,
     mask_iou,
     nms,
-    rasterize_box,
     recall_curve,
     robustness_sweep,
     shrink_perturbation,
@@ -50,6 +49,7 @@ from helpers import (
     l_mask,
     random_mask,
     random_one_hot,
+    rasterize_box,
     rect_mask,
     ring_mask,
     tight_box,

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dtmask.boxsim
 import dtmask.edt
@@ -23,7 +27,6 @@ from dtmask import (
     make_uniform_scheme,
     mask_iou,
     perturb_box,
-    rasterize_box,
     robustness_sweep,
     shrink_perturbation,
     truncated_edt,
@@ -37,6 +40,7 @@ from helpers import (
     encode_window_oracle,
     random_mask,
     random_scheme,
+    rasterize_box,
     resize_nearest_raster_oracle,
     tight_box,
 )
@@ -122,6 +126,18 @@ class TestPerturbBox:
             Perturbation(sx=0.0)
         with pytest.raises(ValueError):
             Perturbation(sy=-1.0)
+        for name, value in (("sx", math.inf), ("sy", -math.inf), ("sx", math.nan), ("sy", 10**400)):
+            with pytest.raises(ValueError) as err:
+                Perturbation(**{name: value})
+            assert str(err.value) == f"scale factor {name} must be finite and positive, got {value!r}"
+
+    def test_shifts_must_be_integers(self):
+        for name, value in (("dx", 1.5), ("dy", 2.0)):
+            with pytest.raises(ValueError) as err:
+                Perturbation(**{name: value})
+            assert str(err.value) == f"shift {name} must be an integer, got {value!r}"
+        pert = Perturbation(dx=np.int64(2), dy=np.int32(-1))
+        assert perturb_box(Box(0, 0, 10, 10), pert) == Box(2, -1, 12, 9)
 
 
 class TestShrinkPerturbation:
@@ -361,6 +377,79 @@ class TestDecodeToCanvas:
             decode_to_canvas(stack, spec, 0, 8)
 
 
+class TestDecodeWindow:
+    def test_box_padded_by_largest_painted_radius_cut_to_canvas(self):
+        # bin radius 3 paints radius 2 in conservative mode, 3 in literal
+        stack = _two_bin_stack(8, 3, [(4, 7)])
+        for box, mode, want in (
+            (Box(0, 0, 8, 8), "conservative", (0, 0, 10, 10)),
+            (Box(4, 5, 12, 13), "conservative", (2, 3, 12, 12)),
+            (Box(4, 5, 12, 13), "literal", (1, 2, 14, 14)),
+            (Box(-9, 10, -1, 18), "literal", (0, 7, 9, 2)),
+        ):
+            x, y, pixels = dtmask.boxsim._decode_window(stack, WindowSpec(box, 8, 8), 16, 16, mode)
+            assert (x, y, *pixels.shape) == want
+            canvas = decode_to_canvas(stack, WindowSpec(box, 8, 8), 16, 16, mode).pixels
+            assert np.array_equal(canvas[y : y + pixels.shape[0], x : x + pixels.shape[1]], pixels)
+            assert canvas.sum() == pixels.sum()
+
+    def test_nothing_painted_gives_empty_window_at_origin(self):
+        spec = WindowSpec(Box(4, 4, 12, 12), 8, 8)
+        for stack, width in ((_two_bin_stack(8, 3, []), 16), (_two_bin_stack(8, 3, [(0, 0)]), 2)):
+            # no set bit paints, or every painted disk lies off the canvas
+            x, y, pixels = dtmask.boxsim._decode_window(stack, spec, width, 2, "conservative")
+            assert (x, y, pixels.shape) == (0, 0, (0, 0))
+
+
+@st.composite
+def decode_cases(draw):
+    """A mask from 1x1 up, a box off any side of it, and a native or
+    resampled window encoded from the mask or drawn at random."""
+    h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    mask = BinaryMask(draw(hnp.arrays(bool, (h, w))))
+    x0, y0 = draw(st.integers(-w - 4, w + 3)), draw(st.integers(-h - 4, h + 3))
+    box = Box(x0, y0, x0 + draw(st.integers(1, w + 8)), y0 + draw(st.integers(1, h + 8)))
+    if draw(st.booleans()):
+        norm = (box.width, box.height)
+    else:
+        norm = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    spec = WindowSpec(box, *norm)
+    steps = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    radii = tuple(int(r) for r in np.cumsum([0, *steps]))
+    scheme = QuantizationScheme(radii[-1] + draw(st.integers(0, 3)), radii)
+    bins = scheme.bins
+    if draw(st.booleans()):
+        stack = encode_window(untruncated(mask), spec, scheme)
+    else:
+        idx = draw(hnp.arrays(np.int64, (norm[1], norm[0]), elements=st.integers(0, bins - 1)))
+        stack = BitPlaneStack(idx == np.arange(bins)[:, None, None], scheme)
+    return stack, spec, w, h, draw(st.sampled_from(["conservative", "literal"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(decode_cases())
+def test_decode_to_canvas_equals_oracle_property(case):
+    stack, spec, w, h, mode = case
+    got = decode_to_canvas(stack, spec, w, h, mode)
+    assert np.array_equal(got.pixels, decode_to_canvas_oracle(stack, spec, w, h, mode).pixels)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    hnp.arrays(bool, st.tuples(st.integers(1, 20), st.integers(1, 20))).filter(np.any),
+    st.tuples(*[st.integers(0, 5)] * 4),
+    st.integers(2, 6),
+)
+def test_native_identity_sweep_recovers_interior_property(pixels, margins, bins):
+    # any box holding the object, even one hanging off the canvas
+    mask = BinaryMask(pixels)
+    tight = tight_box(mask)
+    left, top, right, bottom = margins
+    box = Box(tight.x0 - left, tight.y0 - top, tight.x1 + right, tight.y1 + bottom)
+    records = robustness_sweep(mask, box, [Perturbation()], make_uniform_scheme(bins, 13))
+    assert records[0].iou_beyond == 1.0
+
+
 class TestRobustnessSweep:
     def test_identity_perturbation_recovers_interior_exactly(self):
         mask = disk_mask(32, 32, 16, 16, 10)
@@ -404,9 +493,10 @@ class TestRobustnessSweep:
             assert rec.iou_beyond > 0.5
 
     def test_matches_per_window_oracle_on_seeded_sweeps(self):
-        # shrinks change the box size and so, at 28x28, the per-window
-        # pre_cap of the oracle; shifts up to the canvas size push boxes
-        # off the canvas
+        # each record against the reference decode, a full-canvas box mask
+        # and full-canvas `mask_iou`; shrinks change the box size and so,
+        # at 28x28, the per-window pre_cap of the oracle; shifts up to the
+        # canvas size push boxes off every side of the canvas
         rng = np.random.default_rng(131)
         for case in range(24):
             mask = random_mask(rng, min_size=8, max_size=40)
@@ -419,17 +509,67 @@ class TestRobustnessSweep:
             perts = [
                 Perturbation(dx=dx, dy=dy, sx=scale.sx, sy=scale.sy)
                 for scale in (shrink_perturbation(base, p) for p in range(3))
-                for dx, dy in ((0, 0), (d, 0), (0, -d), (-d, d))
+                for dx, dy in ((0, 0), (d, 0), (-d, 0), (0, d), (0, -d), (-d, d))
             ]
-            records = robustness_sweep(mask, base, perts, scheme, norm)
             target = interior_mask(mask)
-            for pert, rec in zip(perts, records):
-                box = perturb_box(base, pert)
-                spec = WindowSpec(box, *(norm or (box.width, box.height)))
-                beyond = decode_to_canvas(encode_window_oracle(mask, spec, scheme), spec, w, h)
-                inside = beyond.pixels & rasterize_box(box, w, h).pixels
-                assert rec.iou_beyond == mask_iou(beyond, target)
-                assert rec.iou_inside == mask_iou(BinaryMask(inside), target)
+            for mode in ("conservative", "literal"):
+                records = robustness_sweep(mask, base, perts, scheme, norm, mode)
+                for pert, rec in zip(perts, records):
+                    box = perturb_box(base, pert)
+                    spec = WindowSpec(box, *(norm or (box.width, box.height)))
+                    stack = encode_window_oracle(mask, spec, scheme)
+                    beyond = decode_to_canvas_oracle(stack, spec, w, h, mode)
+                    inside = beyond.pixels & rasterize_box(box, w, h).pixels
+                    assert (rec.dx, rec.dy, rec.sx, rec.sy) == (pert.dx, pert.dy, pert.sx, pert.sy)
+                    assert rec.iou_beyond == mask_iou(beyond, target)
+                    assert rec.iou_inside == mask_iou(BinaryMask(inside), target)
+                    assert type(rec.iou_beyond) is float and type(rec.iou_inside) is float
+
+    def test_one_iou_matrix_call_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counting_iou_matrix(a, b):
+            calls.append((len(a.areas), len(b.areas)))
+            return metrics_iou_matrix(a, b)
+
+        metrics_iou_matrix = dtmask.boxsim._iou_matrix
+        monkeypatch.setattr(dtmask.boxsim, "_iou_matrix", counting_iou_matrix)
+        mask = disk_mask(40, 40, 20, 20, 12)
+        perts = [Perturbation(dx=dx, sx=s, sy=s) for dx in (-3, 0, 3, 60) for s in (0.8, 1.0)]
+        for norm in ((28, 28), None):
+            calls.clear()
+            robustness_sweep(mask, tight_box(mask), perts, norm_size=norm)
+            # the unclipped and the clipped decode of every perturbation
+            # against the one target
+            assert calls == [(2 * len(perts), 1)]
+
+    def test_no_canvas_sized_allocation_per_perturbation(self, monkeypatch):
+        # a small object on a large canvas: with the transform and the
+        # target computed ahead, nothing a sweep allocates may come near
+        # one bool canvas, whatever the number of perturbations
+        side = 1024
+        mask = disk_mask(side, side, 500, 520, 9)
+        target = interior_mask(mask)
+        transforms = {}
+
+        def transform_once(m, cap):
+            if cap not in transforms:
+                transforms[cap] = truncated_edt(m, cap)
+            return transforms[cap]
+
+        monkeypatch.setattr(dtmask.boxsim, "truncated_edt", transform_once)
+        monkeypatch.setattr(dtmask.boxsim, "interior_mask", lambda m: target)
+        perts = [Perturbation(dx=dx, dy=dy) for dx in (-4, 0, 4) for dy in (-4, 0, 4)]
+        for norm in (None, (28, 28)):
+            want = robustness_sweep(mask, tight_box(mask), perts, norm_size=norm)
+            tracemalloc.start()
+            try:
+                got = robustness_sweep(mask, tight_box(mask), perts, norm_size=norm)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            assert peak < side * side // 8
 
     def test_one_transform_per_sweep(self, monkeypatch):
         caps = []

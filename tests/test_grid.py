@@ -7,7 +7,6 @@ from dtmask import (
     BoxProposal,
     LabelMap,
     extract_instance,
-    rasterize_box,
 )
 from dtmask.grid import MAX_LABEL, sample_raster
 
@@ -15,6 +14,7 @@ from helpers import (
     canvas_mask_oracle,
     crop_raster_oracle,
     random_mask,
+    rasterize_box,
     resize_nearest_raster_oracle,
 )
 

@@ -439,6 +439,15 @@ class TestCsv:
         )
         assert path.read_bytes() == want
 
+    def test_numpy_scalars_write_like_python_values(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(
+            path,
+            ["ratio", "ok", "no", "n"],
+            [[np.float64(0.1), np.bool_(True), np.bool_(False), np.int64(3)]],
+        )
+        assert path.read_bytes() == b"ratio,ok,no,n\n0.1,yes,no,3\n"
+
 
 @pytest.mark.parametrize(
     "read, text",
