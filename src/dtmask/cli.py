@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import statistics
 import sys
 import time
@@ -322,7 +323,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The `dtmask` argument parser, built once per process and shared.
+
+    Every caller gets the same parser: parse with it, never change it.
+    """
     parser = argparse.ArgumentParser(
         prog="dtmask",
         description="Truncated-distance-transform mask codec and evaluation tools",
@@ -420,7 +426,7 @@ def build_parser():
     p.add_argument("--sizes", type=_arg(_parse_ints), default="128,256,512")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--radius", type=int, default=13)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_arg(_parse_count), default=0)
     p.add_argument(
         "--oracle-limit",
         type=int,

@@ -9,19 +9,28 @@ representative never exceeds the true value, a conservative decode
 literal decode (disk radius r) fills bins exactly.  A soft decoder
 accepts bit planes or real-valued plane scores, sums disk-kernel
 responses through a sigmoid, and thresholds; on clean one-hot input it
-reproduces the hard decoder bit for bit.
+reproduces the hard decoder bit for bit.  It never evaluates the
+sigmoid on a raster: the sum is compared with t*, the least float64
+whose sigmoid reaches the threshold, found once per call by bisection
+over the float64 order.
 
 Every disk is painted by one primitive, `_disk_sum`.  Bit planes,
 the corrupted ones `corrupt` returns included, are counted in the
 narrowest integer type that holds the largest possible count, int16
 for most radii; real-valued scores sum in float64.  A count of bits is
 an integer that float64 holds exactly, so the soft decoder gives the
-same mask for bits as for the same 0/1 values held as scores.
+same mask for bits as for the same 0/1 values held as scores.  A
+radius-0 disk is the plane itself, counted without a prefix sum.
+
+`corrupt` draws its uniforms through one float64 buffer of
+`_DRAW_BUFFER` values, reused across the stack, so it holds a fixed
+128 KiB of floats whatever the raster size.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +44,9 @@ DECODE_MODES = ("conservative", "literal")
 DEFAULT_SOFT_WEIGHT = 10.0
 DEFAULT_SOFT_BIAS = -5.0
 DEFAULT_SOFT_THRESHOLD = 0.4
+
+# Uniforms `corrupt` draws at a time: 128 KiB of float64.
+_DRAW_BUFFER = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -162,6 +174,12 @@ class ProbPlaneStack:
         return self.planes.shape[2]
 
 
+def _count_bound(h: int, w: int, radius: int) -> int:
+    """Largest count a radius-`radius` disk sum of an h x w bool plane reaches."""
+    r = min(radius, _reach(h, w))
+    return min((2 * r + 1) ** 2, h * w)
+
+
 def _disk_sum(plane: np.ndarray, radius: int) -> np.ndarray:
     """Correlation of a plane with the radius-`radius` disk, zero outside.
 
@@ -170,21 +188,25 @@ def _disk_sum(plane: np.ndarray, radius: int) -> np.ndarray:
     turns every run into the difference of two shifted slices, so the
     cost grows with r rather than with the disk area.  Radii beyond the
     raster's reach are clamped to it: every such disk already covers
-    the whole raster.
+    the whole raster.  The radius-0 disk is one pixel, so its sum is
+    the plane itself, cast.
 
     Float planes sum in float64.  A bool plane's count is at most
-    min((2r + 1)^2, h * w) with the clamped r: when that bound is at
-    most 32767 the plane is summed in int16, otherwise in int32.  The
-    int16 row prefix may wrap, but integer arithmetic is modular and
-    every result is a true count in [0, 32767], so the output is exact.
+    `_count_bound`, min((2r + 1)^2, h * w) with the clamped r: when that
+    bound is at most 32767 the plane is summed in int16, otherwise in
+    int32.  The int16 row prefix may wrap, but integer arithmetic is
+    modular and every result is a true count in [0, 32767], so the
+    output is exact.
     """
     h, w = plane.shape
     r = min(radius, _reach(h, w))
     if plane.dtype.kind == "f":
         dtype = np.float64
     else:
-        bound = min((2 * r + 1) ** 2, h * w)
+        bound = _count_bound(h, w, r)
         dtype = np.int16 if bound <= np.iinfo(np.int16).max else np.int32
+    if r == 0:
+        return plane.astype(dtype)
     # Column c + r + 1 of `prefix` sums plane columns <= c of its row.
     prefix = np.zeros((h + 2 * r, w + 2 * r + 1), dtype=dtype)
     prefix[r : r + h, r + 1 : r + 1 + w] = plane
@@ -196,6 +218,30 @@ def _disk_sum(plane: np.ndarray, radius: int) -> np.ndarray:
         out += rows[:, r + half + 1 : r + half + 1 + w]
         out -= rows[:, r - half : r - half + w]
     return out
+
+
+def _float_at(key: int) -> float:
+    """The float64 at position `key` of the float64 order, +0.0 at 0."""
+    bits = key if key >= 0 else ~key | 1 << 63
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+def _logit_floor(threshold: float) -> float:
+    """t*: the least float64 t with expit(t) >= threshold, for 0 < threshold < 1.
+
+    Bisection over the float64 order, from -inf (expit 0) to +inf
+    (expit 1), so t* is exact where logit(threshold) would round: for
+    0.5 it is -3.3e-16, not 0.  Where expit is monotone, as it is near
+    t*, expit(x) >= threshold exactly when x >= t*.
+    """
+    lo, hi = ~0x7FF0_0000_0000_0000, 0x7FF0_0000_0000_0000  # -inf, +inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if expit(_float_at(mid)) >= threshold:
+            hi = mid
+        else:
+            lo = mid
+    return _float_at(hi)
 
 
 def _painted_radius(bin_radius: int, mode: str, num: int = 1, den: int = 1) -> int | None:
@@ -265,6 +311,13 @@ def soft_decode(
     bin.  The defaults place clean one-bit evidence at sigmoid(5) ~ 0.993
     and absence at sigmoid(-5) ~ 0.007, so a 0.4 threshold reproduces
     the hard decoder on one-hot input.
+
+    Each w_n * resp_n is formed in one reused buffer and added to the
+    sum, and the sum is compared with t* (`_logit_floor`) instead of
+    passing through the sigmoid; the mask is the same.  Weights and a
+    bias whose sum could leave float64, |bias| + sum_n |w_n| times the
+    largest count plane n can reach, are rejected before any raster is
+    built.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
@@ -279,13 +332,25 @@ def soft_decode(
         weights = np.asarray(weight, dtype=np.float64)
         if weights.shape != (bins,):
             raise ValueError(f"expected {bins} weights, got shape {weights.shape}")
-    total = np.full((stack.height, stack.width), bias, dtype=np.float64)
-    for plane, bin_radius, w in zip(stack.planes, stack.scheme.radii, weights):
-        painted = _painted_radius(bin_radius, mode)
-        if painted is None:
+    h, w = stack.height, stack.width
+    painted = [_painted_radius(r, mode) for r in stack.scheme.radii]
+    # Added in the decode's order, so no partial sum exceeds it.
+    largest = abs(float(bias))
+    for radius, wn in zip(painted, weights):
+        if radius is not None:
+            largest += abs(float(wn)) * _count_bound(h, w, radius)
+    if not math.isfinite(largest):
+        raise ValueError(
+            f"weight {weight} and bias {bias} can overflow the soft-decode sum"
+        )
+    total = np.full((h, w), bias, dtype=np.float64)
+    term = np.empty((h, w), dtype=np.float64)
+    for plane, radius, wn in zip(stack.planes, painted, weights):
+        if radius is None:
             continue
-        total += w * _disk_sum(plane, painted)
-    return BinaryMask(expit(total) >= threshold)
+        np.multiply(_disk_sum(plane, radius), wn, out=term)
+        total += term
+    return BinaryMask(total >= _logit_floor(threshold))
 
 
 def corrupt(stack: BitPlaneStack, flip_prob: float, seed: int) -> BitPlaneStack:
@@ -294,13 +359,21 @@ def corrupt(stack: BitPlaneStack, flip_prob: float, seed: int) -> BitPlaneStack:
     The result is a bit-plane stack that need not be one-hot, for the
     soft decoder; the flips are those of `numpy.random.default_rng(seed)`,
     making every corruption reproducible from (stack, flip_prob, seed).
+    Bit i of the stack, in C order, flips when the i-th uniform of
+    `default_rng(seed).random(...)` is below `flip_prob`.  The uniforms
+    are drawn `_DRAW_BUFFER` at a time into one reused buffer, which
+    continues the same stream as one draw of the whole stack.
     """
     if not (0.0 <= flip_prob <= 1.0):
         raise ValueError(f"flip probability must lie in [0, 1], got {flip_prob}")
     rng = np.random.default_rng(seed)
     planes = stack.planes.copy()
-    # One draw per plane continues the same stream as one draw of the
-    # whole stack, so the flips are the same with a plane of floats alive.
-    for plane in planes:
-        plane ^= rng.random(plane.shape) < flip_prob
+    bits = planes.reshape(-1)
+    draw = np.empty(min(_DRAW_BUFFER, bits.size), dtype=np.float64)
+    flips = np.empty(draw.size, dtype=bool)
+    for start in range(0, bits.size, _DRAW_BUFFER):
+        n = min(_DRAW_BUFFER, bits.size - start)
+        rng.random(out=draw[:n])
+        np.less(draw[:n], flip_prob, out=flips[:n])
+        bits[start : start + n] ^= flips[:n]
     return BitPlaneStack(planes, stack.scheme)

@@ -191,6 +191,41 @@ class TestSoftDecode:
         assert f"{flag[2:]} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_weight_rejected(self, tmp_path, disk_pbm, capsys):
+        bps = tmp_path / "d.bps"
+        run("encode", "--in", disk_pbm, "--out", bps)
+        out = tmp_path / "o.pbm"
+        code = run(
+            "softdecode", "--in", bps, "--weight", "1e308", "--flip-prob", 0.5, "--out", out
+        )
+        assert code == 2
+        assert "error: weight 1e+308 and bias -5.0 can overflow" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reused_parser_keeps_no_state(self, tmp_path, disk_pbm, monkeypatch):
+        bps = tmp_path / "d.bps"
+        run("encode", "--in", disk_pbm, "--out", bps)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        outs = [tmp_path / f"s{k}.pbm" for k in range(3)]
+        assert run(
+            "softdecode", "--in", bps, "--weight", 3.0, "--mode", "literal", "--out", outs[0]
+        ) == 0
+        assert "weight=3.0" in comment_lines(outs[0])[1]
+        assert run("softdecode", "--in", bps, "--seed=-1", "--out", outs[1]) == 2
+        assert run("softdecode", "--in", bps, "--out", outs[2]) == 0
+        assert comment_lines(outs[2])[1] == (
+            "# flip_prob=0.0 seed=0 weight=10.0 bias=-5.0 threshold=0.4 "
+            "mode=conservative lax=False"
+        )
+        assert built == []
+
 
 class TestBoxsim:
     def test_identity_grid_single_perfect_row(self, tmp_path, disk_pgm):
@@ -605,6 +640,8 @@ class TestExitCodes:
             (["bench", "--sizes=0"], "sizes must be >= 1, got 0"),
             (["bench", "--sizes=16,-3"], "sizes must be >= 1, got -3"),
             (["bench", "--sizes=-3", "--seed=10"], "sizes must be >= 1, got -3"),
+            (["bench", "--seed=-8", "--sizes", "8,16"], "argument --seed: count must be >= 0, got -8"),
+            (["bench", "--seed=-50"], "argument --seed: count must be >= 0, got -50"),
         ],
     )
     def test_argument_errors_name_the_reason(self, tmp_path, capsys, argv, message):

@@ -1,7 +1,12 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import expit
 
 from dtmask import (
     BinaryMask,
@@ -19,7 +24,7 @@ from dtmask import (
     truncated_edt,
 )
 
-from dtmask.codec import _disk_sum
+from dtmask.codec import _DRAW_BUFFER, _disk_sum, _logit_floor
 
 from helpers import (
     disk_sum_oracle,
@@ -381,6 +386,30 @@ class TestSoftDecode:
         with pytest.raises(ValueError, match="must be finite"):
             soft_decode(prob, **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"weight": 1e308},
+            {"weight": 1e307, "bias": np.float64(-1.7e308)},
+            # mixed signs: the sum could reach inf - inf = nan
+            {"weight": (0.0, 1.7e308, -1.7e308)},
+        ],
+    )
+    def test_overflowing_weight_and_bias_rejected(self, kwargs):
+        # bin radii (0, 1, 3): conservative disks of radius 0 and 2
+        planes = np.ones((3, 6, 6), dtype=bool)
+        stack = BitPlaneStack(planes, make_uniform_scheme(3, 5))
+        weight, bias = kwargs.get("weight", 10.0), kwargs.get("bias", -5.0)
+        with pytest.raises(ValueError, match=re.escape(f"weight {weight} and bias {bias} can")):
+            soft_decode(stack, **kwargs)
+
+    def test_largest_finite_sum_accepted(self):
+        # one 1x1 plane: the sum reaches at most |bias| + |w|, finite
+        stack = BitPlaneStack(np.ones((2, 1, 1), dtype=bool), QuantizationScheme(1, (0, 1)))
+        got = soft_decode(stack, "literal", weight=1.7e308, bias=-1e306)
+        want = soft_decode_oracle(stack, "literal", weight=1.7e308, bias=-1e306)
+        assert got.pixels.tolist() == want.pixels.tolist() == [[True]]
+
     def test_per_bin_weights(self):
         scheme = QuantizationScheme(2, (0, 2))
         planes = np.zeros((2, 5, 5))
@@ -408,8 +437,8 @@ class TestSoftDecode:
 
 class TestCorrupt:
     def test_returns_bool_planes(self):
-        # Flips are drawn one plane of floats at a time: a draw of the
-        # whole stack alone would hold 8 bytes per bit.
+        # Flips are drawn through a fixed buffer of floats: a draw of
+        # the whole stack alone would hold 8 bytes per bit.
         rng = np.random.default_rng(137)
         stack = random_one_hot(rng, make_uniform_scheme(5, 13), min_size=256, max_size=256)
         corrupt(stack, 0.5, 1)  # warm up outside the trace
@@ -422,6 +451,18 @@ class TestCorrupt:
                 tracemalloc.stop()
             assert prob.planes.dtype == bool
             assert peak < 4 * stack.planes.size
+
+    def test_draw_buffer_is_fixed(self):
+        # a stack of many buffers draws no more floats than one buffer
+        stack = BitPlaneStack(np.zeros((2, 4, _DRAW_BUFFER), dtype=bool), make_uniform_scheme(2, 1))
+        corrupt(stack, 0.5, 1)  # warm up outside the trace
+        tracemalloc.start()
+        try:
+            corrupt(stack, 0.5, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * stack.planes.size + 10 * _DRAW_BUFFER
 
     def test_zero_flip_prob_is_identity(self):
         rng = np.random.default_rng(79)
@@ -456,3 +497,95 @@ class TestCorrupt:
 def test_stack_plane_count_must_match_scheme():
     with pytest.raises(ValueError):
         BitPlaneStack(np.zeros((3, 4, 4), dtype=bool), make_uniform_scheme(2, 1))
+
+
+# t* for the edge thresholds, and the float64 just below each.
+T_STAR = {
+    0.5: -3.3306690738754686e-16,
+    5e-324: -709.782712893384,
+    1 - 2**-53: 36.73680056967711,
+}
+EDGE_BIASES = [*T_STAR.values(), *(np.nextafter(t, -np.inf) for t in T_STAR.values())]
+
+
+def _floats_around(x: float, ulps: int) -> np.ndarray:
+    """The 2 * ulps + 1 consecutive float64 values centred on x (all of one sign)."""
+    bits = np.float64(x).view(np.int64) + np.arange(-ulps, ulps + 1, dtype=np.int64)
+    if x < 0:  # negative floats run backwards in their bit patterns
+        bits = bits[::-1]
+    return bits.view(np.float64)
+
+
+@pytest.mark.parametrize("threshold", sorted(T_STAR))
+def test_logit_floor_is_the_least_float_reaching_the_threshold(threshold):
+    t_star = _logit_floor(threshold)
+    assert t_star == T_STAR[threshold]
+    assert expit(t_star) >= threshold > expit(np.nextafter(t_star, -np.inf))
+    # The comparison with t* equals the sigmoid's wherever expit is
+    # monotone; check it is, 2**20 ulps either side.
+    xs = _floats_around(t_star, 2**20)
+    assert (np.diff(xs) > 0).all()
+    assert (np.diff(expit(xs)) >= 0).all()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, 3),
+    st.sampled_from([1, 2, 300, _DRAW_BUFFER // 2 - 1, _DRAW_BUFFER // 2 + 1]
+                    + [k * _DRAW_BUFFER + d for k in (1, 2) for d in (-1, 0, 1)]),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 5e-324, 0.02, 0.3, 1.0]),
+    st.integers(0, 2**128),
+)
+def test_corrupt_equals_whole_stack_draw_property(bins, width, height, flip_prob, seed):
+    # plane and stack sizes on both sides of the buffer and its multiples
+    planes = np.random.default_rng(width * height).random((bins, height, width)) < 0.5
+    got = corrupt(BitPlaneStack(planes, make_uniform_scheme(bins, bins)), flip_prob, seed)
+    want = planes ^ (np.random.default_rng(seed).random(planes.shape) < flip_prob)
+    assert got.planes.dtype == bool
+    assert np.array_equal(got.planes, want)
+    if flip_prob == 0.0:
+        assert np.array_equal(got.planes, planes)
+
+
+@st.composite
+def soft_cases(draw):
+    """A bit or score stack, shared or per-bin weights, edge thresholds."""
+    steps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    radii = tuple(int(r) for r in np.cumsum([0, *steps]))
+    scheme = QuantizationScheme(radii[-1] + draw(st.integers(0, 2)), radii)
+    shape = (scheme.bins, draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    if draw(st.booleans()):
+        stack = BitPlaneStack(draw(hnp.arrays(bool, shape)), scheme)
+    else:
+        scores = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+        stack = ProbPlaneStack(draw(hnp.arrays(np.float64, shape, elements=scores)), scheme)
+    coef = st.floats(-20.0, 20.0) | st.just(0.0)
+    if draw(st.booleans()):
+        weight = draw(coef)
+    else:
+        weight = tuple(draw(st.lists(coef, min_size=scheme.bins, max_size=scheme.bins)))
+    bias = draw(st.sampled_from(EDGE_BIASES) | st.floats(-40.0, 40.0))
+    threshold = draw(st.sampled_from(sorted(T_STAR)) | st.floats(0.01, 0.99))
+    mode = draw(st.sampled_from(["conservative", "literal"]))
+    return stack, mode, dict(weight=weight, bias=bias, threshold=threshold)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(soft_cases())
+def test_soft_decode_equals_oracle_property(case):
+    stack, mode, params = case
+    got = soft_decode(stack, mode, **params)
+    assert np.array_equal(got.pixels, soft_decode_oracle(stack, mode, **params).pixels)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.tuples(st.integers(1, 20), st.integers(1, 20)).flatmap(
+        lambda shape: hnp.arrays(bool, shape) | hnp.arrays(np.float64, shape, elements=st.floats(0, 1))
+    )
+)
+def test_radius_zero_disk_sum_equals_oracle_property(plane):
+    got = _disk_sum(plane, 0)
+    assert got.dtype == (np.float64 if plane.dtype.kind == "f" else np.int16)
+    assert np.array_equal(got, disk_sum_oracle(plane, 0))
