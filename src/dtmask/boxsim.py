@@ -12,12 +12,12 @@ of `metrics._iou_matrix`, the IoU kernel eval and mask NMS use.  The
 full-image transform is the same for every box of a sweep, so a sweep
 computes it once and samples each window's cells from it.  Under a
 window's scale num/den a stored value v scales to ceil(v * num / den),
-which reaches the scheme cap exactly when v >= floor((cap - 1) * den /
-num) + 1.  Every value from that bound on encodes as the cap, and the
-value just below it does not, so the bound is the least transform cap
-that leaves the window unchanged.  A sweep caps its transform at the
-largest bound over its windows, or at the raster's reach if that is
-lower.
+which reaches the largest bin radius r_K exactly when
+v >= floor((r_K - 1) * den / num) + 1.  Every value from that bound on
+lands in the last bin, and the value just below it does not, so the
+bound is the least transform cap that leaves the window unchanged.  A
+sweep caps its transform at the largest bound over its windows, or at
+the raster's reach if that is lower.
 
 Every numeric step that affects rasters runs in integer arithmetic:
 the normalization scale is carried as an exact fraction, value scaling
@@ -43,6 +43,8 @@ from .grid import (
 )
 from .edt import TruncatedDistanceMap, interior_mask, truncated_edt
 from .codec import (
+    DEFAULT_BINS,
+    DEFAULT_RADIUS,
     BitPlaneStack,
     QuantizationScheme,
     _disk_sum,
@@ -166,13 +168,13 @@ def encode_window(
     sample `full` at the box pixels nearest the normalized cells (off the
     image they read 0; memory follows the window, not the box), scale
     values by `spec.min_scale_fraction()` with an exact integer ceiling,
-    truncate at the scheme cap, quantize.
-    `full` must be capped at least at min(reach, `_read_cap(spec, cap)`),
+    truncate at the largest bin radius r_K, quantize.
+    `full` must be capped at least at min(reach, `_read_cap(spec, r_K)`),
     the least cap that leaves the window unchanged; a transform capped
     below that is rejected, since a capped value would then encode
-    below the scheme cap where the true distance encodes at it.
+    below the last bin where the true distance encodes in it.
     """
-    cap = scheme.radius_cap
+    cap = scheme.radii[-1]
     need = min(_reach(full.height, full.width), _read_cap(spec, cap))
     if full.radius_cap < need:
         raise ValueError(f"transform is capped at {full.radius_cap}, below the {need} this window reads")
@@ -182,12 +184,12 @@ def encode_window(
     return encode(TruncatedDistanceMap(scaled.clip(max=cap), cap), scheme)
 
 
-def _read_cap(spec: WindowSpec, radius_cap: int) -> int:
-    """Least stored value that scales to at least `radius_cap` in the
-    window: ceil(v * num / den) >= radius_cap exactly when
-    v * num > (radius_cap - 1) * den."""
+def _read_cap(spec: WindowSpec, radius: int) -> int:
+    """Least stored value that scales to at least `radius` in the
+    window: ceil(v * num / den) >= radius exactly when
+    v * num > (radius - 1) * den."""
     num, den = spec.min_scale_fraction()
-    return (radius_cap - 1) * den // num + 1
+    return (radius - 1) * den // num + 1
 
 
 def _decode_window(
@@ -273,9 +275,12 @@ def robustness_sweep(
     `norm_size` of None keeps every window at its native (unit-scale)
     resolution, under which the identity perturbation reproduces the
     exact interior roundtrip.  Records are emitted in input order.
+    `scheme` of None is the CLI's default, 5 bins spread over radius 13
+    (r_K = 10).  The one transform is capped at the least value the
+    windows read of r_K, at most the raster's reach.
     """
     if scheme is None:
-        scheme = make_uniform_scheme(5, 13)
+        scheme = make_uniform_scheme(DEFAULT_BINS, DEFAULT_RADIUS)
     target = interior_mask(full_mask)
     height, width = full_mask.pixels.shape
     specs = []
@@ -283,7 +288,7 @@ def robustness_sweep(
         box = perturb_box(base_box, pert)
         norm_w, norm_h = norm_size if norm_size is not None else (box.width, box.height)
         specs.append(WindowSpec(box, norm_w, norm_h))
-    need = max((_read_cap(spec, scheme.radius_cap) for spec in specs), default=1)
+    need = max((_read_cap(spec, scheme.radii[-1]) for spec in specs), default=1)
     full = truncated_edt(full_mask, min(_reach(height, width), need))
 
     # Every unclipped window, then its cut to the box, in one IoU matrix.

@@ -22,6 +22,8 @@ from . import __version__
 from .grid import BinaryMask, Box, extract_instance
 from .edt import boundary_set, brute_force_edt, truncated_edt
 from .codec import (
+    DEFAULT_BINS,
+    DEFAULT_RADIUS,
     DEFAULT_SOFT_BIAS,
     DEFAULT_SOFT_THRESHOLD,
     DEFAULT_SOFT_WEIGHT,
@@ -191,7 +193,7 @@ def cmd_encode(args) -> int:
     mask = read_mask(args.infile)
     _check_cells("bit-plane stack", args.bins * mask.height * mask.width, MAX_CELLS)
     scheme = make_uniform_scheme(args.bins, args.radius)
-    stack = encode(truncated_edt(mask, args.radius), scheme)
+    stack = encode(truncated_edt(mask, scheme.radii[-1]), scheme)
     write_bps(args.out, stack, _provenance(args))
     return 0
 
@@ -337,14 +339,14 @@ def build_parser():
 
     p = sub.add_parser("dt", help="distance transform of a mask")
     p.add_argument("--in", dest="infile", required=True, help="input mask (PBM)")
-    p.add_argument("--radius", type=int, default=13, help="truncation radius")
+    p.add_argument("--radius", type=int, default=DEFAULT_RADIUS, help="truncation radius")
     p.add_argument("--out", required=True, help="output distance map (DTM)")
     p.set_defaults(func=cmd_dt)
 
     p = sub.add_parser("encode", help="encode a mask into bit planes")
     p.add_argument("--in", dest="infile", required=True, help="input mask (PBM)")
-    p.add_argument("--bins", type=int, default=5, help="quantization bin count")
-    p.add_argument("--radius", type=int, default=13, help="truncation radius")
+    p.add_argument("--bins", type=int, default=DEFAULT_BINS, help="quantization bin count")
+    p.add_argument("--radius", type=int, default=DEFAULT_RADIUS, help="truncation radius")
     p.add_argument("--out", required=True, help="output stack (BPS)")
     p.set_defaults(func=cmd_encode)
 
@@ -384,8 +386,8 @@ def build_parser():
         default="0:0:1",
         help="center shift sweep start:stop:step (applied to dx and dy)",
     )
-    p.add_argument("--bins", type=int, default=5)
-    p.add_argument("--radius", type=int, default=13)
+    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
+    p.add_argument("--radius", type=int, default=DEFAULT_RADIUS)
     p.add_argument(
         "--norm",
         type=_arg(_parse_norm),
@@ -425,7 +427,7 @@ def build_parser():
     p = sub.add_parser("bench", help="time the fast transform against the oracle")
     p.add_argument("--sizes", type=_arg(_parse_ints), default="128,256,512")
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--radius", type=int, default=13)
+    p.add_argument("--radius", type=int, default=DEFAULT_RADIUS)
     p.add_argument("--seed", type=_arg(_parse_count), default=0)
     p.add_argument(
         "--oracle-limit",

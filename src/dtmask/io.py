@@ -253,8 +253,8 @@ def write_dtm(path, dmap: TruncatedDistanceMap, comments=()) -> None:
 def read_bps(path, lax: bool = False) -> BitPlaneStack:
     """Read a bit-plane stack; `lax` skips the one-hot check.
 
-    The header does not carry the radius cap, so the scheme is rebuilt
-    with the smallest cap consistent with the radii (cap = r_K).
+    The header carries the whole radius table, so the stack reads back
+    with the scheme it was written with.
     """
     f = _RasterFile(path, "BPS")
     bins = f.read_int("plane count")
@@ -263,7 +263,7 @@ def read_bps(path, lax: bool = False) -> BitPlaneStack:
     # One token at a time: the count is unchecked until the file runs out.
     radii = tuple(f.read_int(f"bin radius {n + 1}") for n in range(bins))
     try:
-        scheme = QuantizationScheme(max(radii[-1], 1), radii)
+        scheme = QuantizationScheme(radii)
     except ValueError as exc:
         raise f.error(str(exc)) from None
     stack = BitPlaneStack(f.bits((bins, f.height, f.width), "plane"), scheme)

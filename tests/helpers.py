@@ -99,8 +99,7 @@ def random_scheme(rng, max_bins=6) -> QuantizationScheme:
     radii = [0]
     for s in steps:
         radii.append(radii[-1] + int(s))
-    cap = radii[-1] + int(rng.integers(0, 4))
-    return QuantizationScheme(cap, tuple(radii))
+    return QuantizationScheme(tuple(radii))
 
 
 def random_one_hot(rng, scheme, min_size=4, max_size=40) -> BitPlaneStack:
@@ -249,11 +248,11 @@ def encode_window_oracle(full_mask, spec, scheme) -> BitPlaneStack:
     """Reference window encode: one full-grid transform per window.
 
     The transform is capped at pre_cap, the smallest cap whose scaled
-    value still reaches the scheme cap, so downscaling loses nothing.
-    The window is cropped whole, then resized.
+    value still reaches the largest bin radius, so downscaling loses
+    nothing.  The window is cropped whole, then resized.
     """
     num, den = spec.min_scale_fraction()
-    cap = scheme.radius_cap
+    cap = scheme.radii[-1]
     pre_cap = max(cap, (cap * den + num - 1) // num)
     full = truncated_edt(full_mask, pre_cap).values
     window = crop_raster_oracle(full, spec.box)
@@ -433,7 +432,7 @@ def read_bps_oracle(path, lax=False) -> BitPlaneStack:
         raise FormatError(f"plane count must be >= 2, got {bins}")
     radii = tuple(_int_token_oracle(tokens, 4 + n, f"bin radius {n + 1}") for n in range(bins))
     try:
-        scheme = QuantizationScheme(max(radii[-1], 1), radii)
+        scheme = QuantizationScheme(radii)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     bits = _bits_oracle(tokens[4 + bins :], bins * w * h, "plane")

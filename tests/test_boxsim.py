@@ -187,9 +187,9 @@ class TestEncodeWindow:
         assert stack.planes[0].all()
 
     def test_downscale_keeps_pre_cap_headroom(self):
-        # center distance 20 truncates to ceil(13 / (28/40)) = 19 before
-        # scaling, then scales to ceil(19 * 7/10) = 14 and clips to 13;
-        # truncating at 13 up front would scale to 10 instead
+        # center distance 20 scales to ceil(20 * 7/10) = 14 and clips to
+        # r_K = 12; truncating at 12 before scaling would give
+        # ceil(12 * 7/10) = 9 instead
         mask = disk_mask(48, 48, 24, 24, 20)
         spec = WindowSpec(Box(4, 4, 44, 44), 28, 28)
         stack = encode_window(untruncated(mask), spec, make_uniform_scheme(13, 13))
@@ -245,16 +245,22 @@ class TestEncodeWindow:
 
     def test_transform_capped_below_reach_rejected(self):
         # The least cap that leaves a window unchanged is min(reach, the
-        # least stored value that scales to the scheme cap 13): 11 for a
-        # 24 px box upscaled to 28, 14 for a 32 px box downscaled to 28,
-        # the reach 44 for a 32 px box downscaled to 8 (least value 49).
+        # least stored value that scales to r_K = 10): 8 for a 24 px box
+        # upscaled to 28, 11 for a 32 px box downscaled to 28, 37 for one
+        # downscaled to 8, and the reach 44 for one downscaled to 4
+        # (least value 73).
         mask = disk_mask(32, 32, 16, 16, 10)
         scheme = make_uniform_scheme(5, 13)
         full = truncated_edt(mask, _reach(32, 32))
-        cases = ((Box(4, 4, 28, 28), 28, 11), (Box(0, 0, 32, 32), 28, 14), (Box(0, 0, 32, 32), 8, 44))
+        cases = (
+            (Box(4, 4, 28, 28), 28, 8),
+            (Box(0, 0, 32, 32), 28, 11),
+            (Box(0, 0, 32, 32), 8, 37),
+            (Box(0, 0, 32, 32), 4, 44),
+        )
         for box, norm, expected in cases:
             spec = WindowSpec(box, norm, norm)
-            need = min(_reach(32, 32), _least_value_at_cap(spec, 13))
+            need = min(_reach(32, 32), _least_value_at_cap(spec, 10))
             assert need == expected
             got = encode_window(truncated_edt(mask, need), spec, scheme)
             assert np.array_equal(got.planes, encode_window(full, spec, scheme).planes)
@@ -272,7 +278,7 @@ def _least_value_at_cap(spec, cap):
 
 
 def _two_bin_stack(size, radius, bits):
-    scheme = QuantizationScheme(radius, (0, radius))
+    scheme = QuantizationScheme((0, radius))
     planes = np.zeros((2, size, size), dtype=bool)
     for y, x in bits:
         planes[1, y, x] = True
@@ -352,7 +358,7 @@ class TestDecodeToCanvas:
     def test_upscaled_window_halves_painted_radius(self):
         # scale 2: bin radius 3 in normalized units paints
         # round-half-up(3/2) = 2 image pixels in literal mode
-        scheme = QuantizationScheme(3, (0, 3))
+        scheme = QuantizationScheme((0, 3))
         planes = np.zeros((2, 8, 8), dtype=bool)
         planes[1, 0, 0] = True
         planes[0] = ~planes[1]
@@ -416,7 +422,7 @@ def decode_cases(draw):
     spec = WindowSpec(box, *norm)
     steps = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     radii = tuple(int(r) for r in np.cumsum([0, *steps]))
-    scheme = QuantizationScheme(radii[-1] + draw(st.integers(0, 3)), radii)
+    scheme = QuantizationScheme(radii)
     bins = scheme.bins
     if draw(st.booleans()):
         stack = encode_window(untruncated(mask), spec, scheme)
@@ -589,9 +595,10 @@ class TestRobustnessSweep:
             for pert in perts:
                 box = perturb_box(tight_box(mask), pert)
                 spec = WindowSpec(box, *(norm or (box.width, box.height)))
-                need = max(need, _least_value_at_cap(spec, 13))
+                need = max(need, _least_value_at_cap(spec, 10))
             assert caps == [min(_reach(40, 40), need)]
-        assert caps == [13]  # native windows read up to the scheme cap
+        # native windows read up to r_K = 10 of the default scheme (5, 13)
+        assert caps == [10]
 
     def test_record_range_validated(self):
         with pytest.raises(ValueError):

@@ -7,12 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dtmask.cli
 from dtmask import (
     BinaryMask,
     Box,
     BoxProposal,
     LabelMap,
+    encode,
     interior_mask,
+    make_uniform_scheme,
+    read_bps,
     read_dtm,
     read_mask,
     truncated_edt,
@@ -106,6 +110,22 @@ class TestEncodeDecode:
         run("encode", "--in", disk_pbm, "--out", a)
         run("encode", "--in", disk_pbm, "--out", b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_transform_capped_at_largest_bin_radius(self, tmp_path, disk_pbm, monkeypatch):
+        # radius 13 spreads 5 bins to radii 0 1 4 7 10: the transform
+        # needs only r_K = 10, and the stack is the same as at cap 13
+        caps = []
+
+        def counting_edt(mask, radius_cap):
+            caps.append(radius_cap)
+            return truncated_edt(mask, radius_cap)
+
+        monkeypatch.setattr(dtmask.cli, "truncated_edt", counting_edt)
+        bps = tmp_path / "d.bps"
+        assert run("encode", "--in", disk_pbm, "--bins", 5, "--radius", 13, "--out", bps) == 0
+        assert caps == [10]
+        want = encode(truncated_edt(read_mask(disk_pbm), 13), make_uniform_scheme(5, 13))
+        assert np.array_equal(read_bps(bps).planes, want.planes)
 
     @pytest.mark.parametrize("radius", [2**32, 10**30])
     def test_radius_beyond_int32(self, tmp_path, disk_pbm, radius):

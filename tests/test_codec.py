@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
@@ -20,11 +20,15 @@ from dtmask import (
     hard_decode,
     interior_mask,
     make_uniform_scheme,
+    read_bps,
     soft_decode,
     truncated_edt,
+    write_bps,
 )
 
 from dtmask.codec import _DRAW_BUFFER, _disk_sum, _logit_floor
+from dtmask.edt import BAND_LIMIT
+from dtmask.grid import _reach
 
 from helpers import (
     disk_sum_oracle,
@@ -40,19 +44,15 @@ from helpers import (
 class TestQuantizationScheme:
     def test_radii_must_start_at_zero(self):
         with pytest.raises(ValueError, match="first bin radius"):
-            QuantizationScheme(5, (1, 3))
+            QuantizationScheme((1, 3))
 
     def test_radii_strictly_increasing(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            QuantizationScheme(5, (0, 2, 2))
-
-    def test_radii_within_cap(self):
-        with pytest.raises(ValueError, match="exceeds radius cap"):
-            QuantizationScheme(3, (0, 4))
+            QuantizationScheme((0, 2, 2))
 
     def test_needs_two_bins(self):
         with pytest.raises(ValueError):
-            QuantizationScheme(3, (0,))
+            QuantizationScheme((0,))
 
 
 class TestMakeUniformScheme:
@@ -90,7 +90,7 @@ class TestEncode:
     def test_singleton_bins_are_value_indicators(self):
         values = np.array([[0, 1], [2, 1]])
         stack = encode(
-            TruncatedDistanceMap(values, 2), QuantizationScheme(2, (0, 1, 2))
+            TruncatedDistanceMap(values, 2), QuantizationScheme((0, 1, 2))
         )
         for n in range(3):
             assert np.array_equal(stack.planes[n], values == n)
@@ -108,19 +108,24 @@ class TestEncode:
         values = np.array([[0, 1, top]])
         for radii, want in (((0, 1, top), [0, 1, 2]), ((0, 1, top + 1), [0, 1, 1])):
             cap = max(radii[-1], 10**30)
-            stack = encode(TruncatedDistanceMap(values, cap), QuantizationScheme(cap, radii))
+            stack = encode(TruncatedDistanceMap(values, cap), QuantizationScheme(radii))
             assert stack.planes.argmax(axis=0).tolist() == [want]
 
-    def test_cap_mismatch_rejected(self):
-        dmap = TruncatedDistanceMap(np.zeros((2, 2), int), 5)
-        with pytest.raises(ValueError, match="radius cap"):
-            encode(dmap, make_uniform_scheme(3, 7))
+    def test_map_capped_below_largest_radius_rejected(self):
+        # r_K = 10: a map capped at 9 would put distances of 10 and more
+        # into bin 4
+        scheme = make_uniform_scheme(5, 13)
+        values = np.zeros((2, 2), int)
+        with pytest.raises(ValueError, match="capped at 9, below the largest bin radius 10"):
+            encode(TruncatedDistanceMap(values, 9), scheme)
+        for cap in (10, 13, 10**30):
+            assert encode(TruncatedDistanceMap(values, cap), scheme).planes[0].all()
 
     def test_one_hot_and_floor_representative(self):
         rng = np.random.default_rng(47)
         for _ in range(40):
             scheme = random_scheme(rng)
-            cap = scheme.radius_cap
+            cap = scheme.radii[-1] + int(rng.integers(0, 4))
             values = rng.integers(0, cap + 1, size=(12, 14))
             stack = encode(TruncatedDistanceMap(values, cap), scheme)
             assert stack.is_one_hot()
@@ -158,7 +163,7 @@ DISK13_5X5 = np.array(
 
 
 def _single_bit_stack(radius=2, size=5):
-    scheme = QuantizationScheme(radius, (0, radius))
+    scheme = QuantizationScheme((0, radius))
     planes = np.zeros((2, size, size), dtype=bool)
     planes[1, size // 2, size // 2] = True
     planes[0] = ~planes[1]
@@ -177,13 +182,13 @@ class TestHardDecode:
     def test_zero_bin_paints_nothing(self):
         planes = np.zeros((2, 4, 4), dtype=bool)
         planes[0] = True
-        stack = BitPlaneStack(planes, QuantizationScheme(3, (0, 3)))
+        stack = BitPlaneStack(planes, QuantizationScheme((0, 3)))
         for mode in ("conservative", "literal"):
             assert not hard_decode(stack, mode).pixels.any()
 
     def test_rejects_non_one_hot(self):
         planes = np.ones((2, 3, 3), dtype=bool)
-        stack = BitPlaneStack(planes, QuantizationScheme(2, (0, 2)))
+        stack = BitPlaneStack(planes, QuantizationScheme((0, 2)))
         with pytest.raises(ValueError, match="one-hot"):
             hard_decode(stack)
         with pytest.raises(ValueError, match="one-hot"):
@@ -405,13 +410,13 @@ class TestSoftDecode:
 
     def test_largest_finite_sum_accepted(self):
         # one 1x1 plane: the sum reaches at most |bias| + |w|, finite
-        stack = BitPlaneStack(np.ones((2, 1, 1), dtype=bool), QuantizationScheme(1, (0, 1)))
+        stack = BitPlaneStack(np.ones((2, 1, 1), dtype=bool), QuantizationScheme((0, 1)))
         got = soft_decode(stack, "literal", weight=1.7e308, bias=-1e306)
         want = soft_decode_oracle(stack, "literal", weight=1.7e308, bias=-1e306)
         assert got.pixels.tolist() == want.pixels.tolist() == [[True]]
 
     def test_per_bin_weights(self):
-        scheme = QuantizationScheme(2, (0, 2))
+        scheme = QuantizationScheme((0, 2))
         planes = np.zeros((2, 5, 5))
         planes[1, 2, 2] = 1.0
         prob = ProbPlaneStack(planes, scheme)
@@ -553,7 +558,7 @@ def soft_cases(draw):
     """A bit or score stack, shared or per-bin weights, edge thresholds."""
     steps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     radii = tuple(int(r) for r in np.cumsum([0, *steps]))
-    scheme = QuantizationScheme(radii[-1] + draw(st.integers(0, 2)), radii)
+    scheme = QuantizationScheme(radii)
     shape = (scheme.bins, draw(st.integers(1, 12)), draw(st.integers(1, 12)))
     if draw(st.booleans()):
         stack = BitPlaneStack(draw(hnp.arrays(bool, shape)), scheme)
@@ -589,3 +594,82 @@ def test_radius_zero_disk_sum_equals_oracle_property(plane):
     got = _disk_sum(plane, 0)
     assert got.dtype == (np.float64 if plane.dtype.kind == "f" else np.int16)
     assert np.array_equal(got, disk_sum_oracle(plane, 0))
+
+
+@st.composite
+def encode_cases(draw):
+    """A mask from 1x1 up and a uniform or random scheme whose truncation
+    radius R lies on either side of the EDT's `BAND_LIMIT`."""
+    h, w = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    mask = BinaryMask(draw(hnp.arrays(bool, (h, w))))
+    limits = st.sampled_from([BAND_LIMIT - 1, BAND_LIMIT, BAND_LIMIT + 1])
+    if draw(st.booleans()):
+        bins = draw(st.integers(2, 6))
+        radius = draw(st.integers(bins, 2 * BAND_LIMIT) | limits)
+        scheme = make_uniform_scheme(bins, radius)
+    else:
+        steps = draw(st.lists(st.integers(1, 20), min_size=1, max_size=5))
+        scheme = QuantizationScheme(tuple(int(r) for r in np.cumsum([0, *steps])))
+        radius = scheme.radii[-1] + draw(st.integers(0, 2 * BAND_LIMIT) | limits)
+    return mask, scheme, radius
+
+
+CODEC_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@CODEC_PROPERTY
+@given(encode_cases())
+def test_encode_is_the_same_at_every_cap_from_the_largest_radius_property(case):
+    # every value from r_K on lands in the last bin, so no cap >= r_K
+    # changes a plane, whichever EDT route the cap selects
+    mask, scheme, radius = case
+    top = scheme.radii[-1]
+    want = encode(truncated_edt(mask, top), scheme)
+    for cap in (radius, _reach(*mask.pixels.shape), 10**30):
+        if cap >= top:
+            assert np.array_equal(encode(truncated_edt(mask, cap), scheme).planes, want.planes)
+
+
+@CODEC_PROPERTY
+@given(encode_cases())
+def test_clean_encode_decodes_within_the_interior_property(case):
+    mask, scheme, _ = case
+    stack = encode(truncated_edt(mask, scheme.radii[-1]), scheme)
+    cons = hard_decode(stack, "conservative").pixels
+    lit = hard_decode(stack, "literal").pixels
+    interior = interior_mask(mask).pixels
+    # with r_2 = 1 every interior pixel paints at least itself; any
+    # scheme paints within the interior, so within the mask
+    if scheme.radii[1] == 1:
+        assert np.array_equal(cons, interior)
+    assert not (cons & ~interior).any()
+    assert not (cons & ~lit).any()
+    for mode, hard in (("conservative", cons), ("literal", lit)):
+        assert np.array_equal(soft_decode(stack, mode).pixels, hard)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(encode_cases())
+def test_bps_roundtrip_keeps_scheme_and_planes_property(tmp_path, case):
+    mask, scheme, _ = case
+    stack = encode(truncated_edt(mask, scheme.radii[-1]), scheme)
+    write_bps(tmp_path / "s.bps", stack)
+    got = read_bps(tmp_path / "s.bps")
+    assert got.scheme == stack.scheme
+    assert np.array_equal(got.planes, stack.planes)
+
+
+@pytest.mark.parametrize("radius", [1, 3, 12])
+def test_float_disk_sums_stay_within_a_fixed_rounding_bound(radius):
+    # Prefix differences round fractional scores (`_disk_sum`); on this
+    # plane the error measured up to 6e-14, 1.5e-13 and 6e-13 for
+    # r = 1, 3 and 12.  Bit planes are exact (`TestDiskSum`).
+    plane = np.random.default_rng(1).random((40, 300))
+    err = np.abs(_disk_sum(plane, radius) - disk_sum_oracle(plane, radius))
+    assert err.max() <= 1e-12

@@ -242,16 +242,14 @@ class TestBitPlaneFormat:
         write_bps(path, _tiny_stack())
         assert path.read_text().splitlines()[0] == "BPS 3 2 5 0 1 4 7 10"
 
-    def test_roundtrip_with_smallest_cap(self, tmp_path):
+    def test_roundtrip_keeps_the_scheme(self, tmp_path):
         stack = _tiny_stack()
         path = tmp_path / "s.bps"
         write_bps(path, stack)
         got = read_bps(path)
         assert np.array_equal(got.planes, stack.planes)
         assert got.scheme.radii == (0, 1, 4, 7, 10)
-        # the header has no cap field, so reading picks the smallest
-        # cap the radii allow
-        assert got.scheme.radius_cap == 10
+        assert got.scheme == stack.scheme
 
     def test_roundtrip_random(self, tmp_path):
         rng = np.random.default_rng(173)
