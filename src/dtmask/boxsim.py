@@ -220,7 +220,8 @@ def _decode_window(
         # bounding box padded by the painted radius, cut to the bounding
         # box of the window and the centres.  The cut is exact: it keeps
         # every centre and every window pixel a disk can reach, and
-        # `_disk_sum` clamps the radius to the local raster's reach.
+        # `_disk_sum` clamps the radius to the local raster's reach, its
+        # rows and half-widths to the local raster's height and width.
         cy, cx = map_y[ys], map_x[xs]
         x0, y0, x1, y1 = int(cx.min()), int(cy.min()), int(cx.max()) + 1, int(cy.max()) + 1
         span = Box(
@@ -234,7 +235,7 @@ def _decode_window(
         part = _overlap(span, width, height)
         if part is not None:
             in_window, in_local = part
-            window[in_window] |= (_disk_sum(local, painted) > 0)[in_local]
+            window[in_window] |= _disk_sum(local, painted, bool)[in_local]
     return x, y, window
 
 

@@ -192,6 +192,20 @@ class TestSoftDecode:
             assert run(command, "--in", bps, "--out", out) == 0
             assert read_mask(out).pixels.all()
 
+    def test_radius_beyond_a_thin_strip_paints_everything(self, tmp_path):
+        # the painter's memory follows the 1 x 20000 raster, not the
+        # radius: a square pad of the reach would take gigabytes
+        width = 20000
+        far = np.zeros(width, dtype=np.uint8)
+        far[0] = 1
+        rows = [" ".join(map(str, 1 - far)), " ".join(map(str, far))]
+        bps = tmp_path / "strip.bps"
+        bps.write_text(f"BPS {width} 1 2 0 100000\n" + "\n".join(rows) + "\n")
+        for command in ("decode", "softdecode"):
+            out = tmp_path / f"{command}.pbm"
+            assert run(command, "--in", bps, "--out", out) == 0
+            assert read_mask(out).pixels.all()
+
     def test_bad_threshold(self, tmp_path, disk_pbm):
         bps = tmp_path / "d.bps"
         run("encode", "--in", disk_pbm, "--out", bps)

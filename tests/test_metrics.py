@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dtmask import (
     AR_IOU_THRESHOLDS,
@@ -456,6 +459,42 @@ class TestSparseIouMatrix:
         assert _iou_matrix(empty, full).tolist() == [[0.0]]
         assert _iou_matrix(full, empty).tolist() == [[0.0]]
         assert empty.areas.tolist() == [0] and empty.boxes.tolist() == [[0, 0, 0, 0]]
+
+
+@st.composite
+def iou_scenes(draw):
+    """Canvas- and box-anchored proposal masks and canvas ground truths,
+    empty masks among both, on boxes from wholly left of or above the
+    canvas to wholly right of or below it."""
+    h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+
+    def masks(shape):
+        full = st.sampled_from([np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)])
+        return st.builds(BinaryMask, hnp.arrays(bool, shape) | full)
+
+    gts = draw(st.lists(masks((h, w)), min_size=1, max_size=4))
+    props = []
+    for _ in range(draw(st.integers(0, 8))):
+        bw, bh = draw(st.integers(1, w + 5)), draw(st.integers(1, h + 5))
+        x0, y0 = draw(st.integers(-bw - 2, w + 2)), draw(st.integers(-bh - 2, h + 2))
+        shape = draw(st.sampled_from([(h, w), (bh, bw)]))
+        props.append(BoxProposal(Box(x0, y0, x0 + bw, y0 + bh), 0.5, draw(masks(shape))))
+    return props, gts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(iou_scenes())
+def test_iou_matrix_equals_oracle_property(scene):
+    props, gts = scene
+    h, w = gts[0].pixels.shape
+    local_props = _proposal_masks(props, w, h)
+    local_gts = _local_masks((0, 0, g.pixels) for g in gts)
+    want = iou_matrix_oracle(props, gts)
+    got = _iou_matrix(local_props, local_gts)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # either side may hold the empty masks
+    assert _iou_matrix(local_gts, local_props).tobytes() == want.T.tobytes()
 
 
 class TestNmsAgainstOracle:
