@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .grid import BinaryMask, _reach
+from .grid import BinaryMask, _Raster, _frozen_raster, _reach
 from .edt import TruncatedDistanceMap
 
 DECODE_MODES = ("conservative", "literal")
@@ -92,41 +92,26 @@ def make_uniform_scheme(bins: int, radius_cap: int) -> QuantizationScheme:
     """Uniformly spaced radius table with bin 1 reserved for value 0.
 
     r_1 = 0 and r_n = 1 + floor((n - 2)(R - 1) / (K - 1)) for n >= 2,
-    spreading the remaining radii evenly over [1, R].  Tables where the
-    spacing would collapse two bins onto the same radius are rejected.
+    spreading the remaining radii evenly over [1, R].  Two radii would
+    collide exactly when K >= 3 and R < K, so from 3 bins on the cap
+    must be at least K; smaller caps are rejected.
     """
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
     if radius_cap < 1:
         raise ValueError(f"radius cap must be >= 1, got {radius_cap}")
-    if bins - 1 > radius_cap:
+    if bins > 2 and radius_cap < bins:
         raise ValueError(
-            f"bins would collide: {bins} bins need radius cap >= {bins - 1}, "
-            f"got {radius_cap}"
+            f"bins would collide: {bins} bins need radius cap >= {bins}, got {radius_cap}"
         )
     radii = [0] + [
         1 + ((n - 2) * (radius_cap - 1)) // (bins - 1) for n in range(2, bins + 1)
     ]
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError(
-            f"bins would collide: {bins} uniform bins do not fit radius cap "
-            f"{radius_cap}"
-        )
     return QuantizationScheme(tuple(radii))
 
 
-def _frozen_planes(values, dtype, bins: int) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    if arr.ndim != 3 or arr.shape[0] != bins:
-        raise ValueError(f"expected a (bins, height, width) stack with {bins} planes")
-    if arr.shape[1] < 1 or arr.shape[2] < 1:
-        raise ValueError("planes must have positive height and width")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
-class BitPlaneStack:
+class BitPlaneStack(_Raster):
     """One binary plane per quantization bin, same grid for all.
 
     `encode` and a strict read give one-hot stacks.  `corrupt` and a lax
@@ -136,19 +121,11 @@ class BitPlaneStack:
 
     planes: np.ndarray
     scheme: QuantizationScheme
+    _array_field = "planes"
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "planes", _frozen_planes(self.planes, bool, self.scheme.bins)
-        )
-
-    @property
-    def height(self) -> int:
-        return self.planes.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.planes.shape[2]
+        planes = _frozen_raster(self.planes, bool, bins=self.scheme.bins)
+        object.__setattr__(self, "planes", planes)
 
     def is_one_hot(self) -> bool:
         """True when exactly one plane is set at every pixel."""
@@ -156,7 +133,7 @@ class BitPlaneStack:
 
 
 @dataclass(frozen=True, eq=False)
-class ProbPlaneStack:
+class ProbPlaneStack(_Raster):
     """Per-bin real-valued scores in [0, 1], one plane per bin.
 
     Scores are held as float64; NaN is rejected.
@@ -164,20 +141,13 @@ class ProbPlaneStack:
 
     planes: np.ndarray
     scheme: QuantizationScheme
+    _array_field = "planes"
 
     def __post_init__(self):
-        arr = _frozen_planes(self.planes, np.float64, self.scheme.bins)
+        arr = _frozen_raster(self.planes, np.float64, bins=self.scheme.bins)
         if not ((arr >= 0.0) & (arr <= 1.0)).all():
             raise ValueError("plane scores must lie in [0, 1]")
         object.__setattr__(self, "planes", arr)
-
-    @property
-    def height(self) -> int:
-        return self.planes.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.planes.shape[2]
 
 
 def _count_bound(h: int, w: int, radius: int) -> int:
@@ -336,10 +306,11 @@ def soft_decode(
     Every plane, bits or scores, is correlated with its painted-radius
     disk kernel, the responses are combined as
     sigmoid(bias + sum_n w_n * resp_n), and pixels at or above the
-    threshold are object.  `weight` is one shared coefficient or one per
-    bin.  The defaults place clean one-bit evidence at sigmoid(5) ~ 0.993
-    and absence at sigmoid(-5) ~ 0.007, so a 0.4 threshold reproduces
-    the hard decoder on one-hot input.
+    threshold are object.  `weight` is one coefficient per bin, or any
+    real scalar (a Python or numpy number, or a 0-d array) shared by
+    every bin.  The defaults place clean one-bit evidence at
+    sigmoid(5) ~ 0.993 and absence at sigmoid(-5) ~ 0.007, so a 0.4
+    threshold reproduces the hard decoder on one-hot input.
 
     Each w_n * resp_n is formed in one reused buffer and added to the
     sum, and the sum is compared with t* (`_logit_floor`) instead of
@@ -361,12 +332,11 @@ def soft_decode(
     if not math.isfinite(bias):
         raise ValueError(f"bias must be finite, got {bias}")
     bins = stack.scheme.bins
-    if isinstance(weight, (int, float)):
-        weights = np.full(bins, float(weight))
-    else:
-        weights = np.asarray(weight, dtype=np.float64)
-        if weights.shape != (bins,):
-            raise ValueError(f"expected {bins} weights, got shape {weights.shape}")
+    weights = np.asarray(weight, dtype=np.float64)
+    if weights.ndim == 0:
+        weights = np.full(bins, weights)
+    if weights.shape != (bins,):
+        raise ValueError(f"expected {bins} weights, got shape {weights.shape}")
     h, w = stack.height, stack.width
     painted = [_painted_radius(r, mode) for r in stack.scheme.radii]
     # Added in the decode's order, so no partial sum exceeds it.

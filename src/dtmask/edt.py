@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grid import BinaryMask, Box, _frozen_raster, _reach, sample_raster
+from .grid import BinaryMask, Box, _Raster, _frozen_raster, _reach, sample_raster
 
 # Widest band C taken by the separable passes.  Their cost grows with C
 # up to the thickest object's column depth, and the feature transform's
@@ -47,11 +47,12 @@ BAND_LIMIT = 40
 
 
 @dataclass(frozen=True, eq=False)
-class TruncatedDistanceMap:
+class TruncatedDistanceMap(_Raster):
     """Integer distance raster together with its truncation radius."""
 
     values: np.ndarray
     radius_cap: int
+    _array_field = "values"
 
     def __post_init__(self):
         if not isinstance(self.radius_cap, (int, np.integer)) or self.radius_cap < 1:
@@ -59,14 +60,6 @@ class TruncatedDistanceMap:
         object.__setattr__(self, "radius_cap", int(self.radius_cap))
         values = _frozen_raster(self.values, np.int32, self.radius_cap, "distance values")
         object.__setattr__(self, "values", values)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 def boundary_set(mask: BinaryMask) -> BinaryMask:

@@ -19,15 +19,21 @@ import numpy as np
 MAX_LABEL = int(np.iinfo(np.int32).max)
 
 
-def _frozen_raster(values, dtype, high=None, name="values") -> np.ndarray:
-    """Copy `values` into a read-only 2-D array of `dtype`.
+def _frozen_raster(values, dtype, high=None, name="values", bins=None) -> np.ndarray:
+    """Copy `values` into a read-only array of `dtype`: a 2-D raster, or
+    with `bins` set a (bins, height, width) stack of planes.
 
     With `high` set, values must lie in [0, min(high, max of dtype)],
     checked before the cast so that nothing wraps.
     """
     arr = np.asarray(values)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError("raster must be 2-D with positive height and width")
+    if bins is None:
+        if arr.ndim != 2 or 0 in arr.shape:
+            raise ValueError("raster must be 2-D with positive height and width")
+    elif arr.ndim != 3 or arr.shape[0] != bins:
+        raise ValueError(f"expected a (bins, height, width) stack with {bins} planes")
+    elif 0 in arr.shape:
+        raise ValueError("planes must have positive height and width")
     if high is not None:
         high = min(high, int(np.iinfo(dtype).max))
         if arr.min() < 0:
@@ -37,6 +43,19 @@ def _frozen_raster(values, dtype, high=None, name="values") -> np.ndarray:
     arr = np.array(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+class _Raster:
+    """A value type whose `height` and `width` are the last two axes of
+    the array in the field its subclass names as `_array_field`."""
+
+    @property
+    def height(self) -> int:
+        return getattr(self, self._array_field).shape[-2]
+
+    @property
+    def width(self) -> int:
+        return getattr(self, self._array_field).shape[-1]
 
 
 def _reach(height: int, width: int) -> int:
@@ -58,21 +77,14 @@ def _overlap(box: Box, width: int, height: int):
 
 
 @dataclass(frozen=True, eq=False)
-class BinaryMask:
+class BinaryMask(_Raster):
     """Immutable 2-D boolean raster; True marks object pixels."""
 
     pixels: np.ndarray
+    _array_field = "pixels"
 
     def __post_init__(self):
         object.__setattr__(self, "pixels", _frozen_raster(self.pixels, bool))
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
 
     @property
     def area(self) -> int:
@@ -81,25 +93,18 @@ class BinaryMask:
 
 
 @dataclass(frozen=True, eq=False)
-class LabelMap:
+class LabelMap(_Raster):
     """Immutable instance segmentation raster.
 
     Label 0 is background; every positive label is one instance.
     """
 
     labels: np.ndarray
+    _array_field = "labels"
 
     def __post_init__(self):
         labels = _frozen_raster(self.labels, np.int32, MAX_LABEL, "labels")
         object.__setattr__(self, "labels", labels)
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
 
     def instance_ids(self) -> list[int]:
         """Sorted list of positive labels present in the map."""

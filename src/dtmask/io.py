@@ -300,10 +300,10 @@ def read_proposals(path) -> list[BoxProposal]:
             raise FormatError(f"{path}: line {lineno}: {exc}") from None
         mask = None
         if len(fields) == 7:
-            mask_path = os.path.join(base, fields[6])
-            if not os.path.isfile(mask_path):
-                raise FormatError(f"{path}: line {lineno}: mask file not found: {fields[6]}")
-            mask = read_mask(mask_path)
+            try:
+                mask = read_mask(os.path.join(base, fields[6]))
+            except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+                raise FormatError(f"{path}: line {lineno}: mask file not found: {fields[6]}") from None
         try:
             out.append(BoxProposal(box, score, mask))
         except ValueError as exc:

@@ -37,6 +37,7 @@ from helpers import (
     crop_raster_oracle,
     decode_to_canvas_oracle,
     disk_mask,
+    disk_raster,
     encode_window_oracle,
     random_mask,
     random_scheme,
@@ -398,6 +399,18 @@ class TestDecodeWindow:
             canvas = decode_to_canvas(stack, WindowSpec(box, 8, 8), 16, 16, mode).pixels
             assert np.array_equal(canvas[y : y + pixels.shape[0], x : x + pixels.shape[1]], pixels)
             assert canvas.sum() == pixels.sum()
+
+    @pytest.mark.parametrize("mode", ["conservative", "literal"])
+    def test_one_bit_paints_its_whole_disk_on_every_side(self, mode):
+        # bin radius 5 paints radius 4 or 5; the disk reaches that far
+        # each way from its centre, cut only by the canvas edge
+        painted = 4 if mode == "conservative" else 5
+        for box, size in ((Box(9, 9, 21, 21), 30), (Box(0, 0, 12, 12), 12)):
+            spec = WindowSpec(box, 12, 12)
+            for y, x in ((6, 6), (0, 0), (11, 11), (0, 11), (11, 0), (2, 9)):
+                stack = _two_bin_stack(12, 5, [(y, x)])
+                got = decode_to_canvas(stack, spec, size, size, mode).pixels
+                assert np.array_equal(got, disk_raster(size, size, box.y0 + y, box.x0 + x, painted))
 
     def test_nothing_painted_gives_empty_window_at_origin(self):
         spec = WindowSpec(Box(4, 4, 12, 12), 8, 8)

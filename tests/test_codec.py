@@ -1,5 +1,7 @@
+import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from dtmask import (
     write_bps,
 )
 
-from dtmask.codec import _DRAW_BUFFER, _disk_sum, _logit_floor
+from dtmask.codec import _DRAW_BUFFER, _disk_sum, _logit_floor, _painted_radius
 from dtmask.edt import BAND_LIMIT
 from dtmask.grid import _reach
 
@@ -78,6 +80,19 @@ class TestMakeUniformScheme:
         # the formula also collapses radii for cap just above bins - 1
         with pytest.raises(ValueError, match="collide"):
             make_uniform_scheme(3, 2)
+
+    def test_radii_collide_exactly_below_the_bin_count_from_three_bins(self):
+        for bins in range(2, 40):
+            for cap in range(1, 120):
+                if bins >= 3 and cap < bins:
+                    with pytest.raises(ValueError) as err:
+                        make_uniform_scheme(bins, cap)
+                    assert str(err.value) == (
+                        f"bins would collide: {bins} bins need radius cap >= {bins}, got {cap}"
+                    )
+                else:
+                    radii = make_uniform_scheme(bins, cap).radii
+                    assert all(b > a for a, b in zip(radii, radii[1:]))
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -339,6 +354,15 @@ class TestSoftDecode:
                     hard_decode(stack, mode).pixels,
                 )
 
+    def test_any_real_scalar_weight_is_shared_by_every_bin(self):
+        rng = np.random.default_rng(131)
+        scheme = make_uniform_scheme(5, 13)
+        stack = corrupt(random_one_hot(rng, scheme, min_size=16, max_size=24), 0.1, 5)
+        for w in (3.0, 10.0):
+            want = soft_decode(stack, weight=(w,) * scheme.bins).pixels
+            for weight in (w, int(w), np.float32(w), np.float64(w), np.int64(w), np.array(w)):
+                assert np.array_equal(soft_decode(stack, weight=weight).pixels, want)
+
     @pytest.mark.parametrize("flip_prob", [0.02, 0.3, 1.0])
     def test_matches_oracle_on_corrupted_stacks(self, flip_prob):
         rng = np.random.default_rng(113)
@@ -514,6 +538,20 @@ class TestCorrupt:
             corrupt(stack, -0.1, 0)
         with pytest.raises(ValueError):
             corrupt(stack, 1.1, 0)
+
+
+def test_painted_radius_rounds_exact_halves_up():
+    # a bin radius r at window scale num/den paints r * den / num image
+    # pixels rounded half up, one fewer in conservative mode
+    for num in range(1, 7):
+        for den in range(1, 7):
+            for r in range(1, 20):
+                rho = math.floor(Fraction(r * den, num) + Fraction(1, 2))
+                assert _painted_radius(r, "literal", num, den) == rho
+                conservative = _painted_radius(r, "conservative", num, den)
+                assert conservative == (rho - 1 if rho >= 1 else None)
+    assert _painted_radius(1, "literal", 2, 1) == 1  # 0.5
+    assert _painted_radius(3, "literal", 2, 1) == 2  # 1.5
 
 
 def test_stack_plane_count_must_match_scheme():

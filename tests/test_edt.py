@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dtmask import (
     BinaryMask,
@@ -217,3 +220,37 @@ class TestExternalBoundary:
         out = edt_with_external_boundary(m, box, 8)
         assert not out.values[:4, :].any()
         assert not out.values[:, :4].any()
+
+
+@st.composite
+def edt_cases(draw):
+    """A block from 1x1 up, random or solid with a few holes so that it
+    has a deep interior, or a strip one to three pixels thin; and a cap
+    on either side of `BAND_LIMIT`, below the deepest possible value, at
+    or below the reach, or far past it."""
+    kind = draw(st.sampled_from(["random", "solid", "row", "column"]))
+    if kind in ("random", "solid"):
+        shape = (draw(st.integers(1, 90)), draw(st.integers(1, 90)))
+    else:
+        strip = (draw(st.integers(1, 3)), draw(st.integers(1, 120)))
+        shape = strip if kind == "row" else strip[::-1]
+    fill = st.just(True) if kind == "solid" else None
+    pixels = draw(hnp.arrays(bool, shape, fill=fill))
+    reach = _reach(*shape)
+    caps = (1, BAND_LIMIT - 1, BAND_LIMIT, BAND_LIMIT + 1, reach, 50 * reach, 2**40)
+    deepest = (min(shape) + 1) // 2
+    cap = draw(st.sampled_from(caps) | st.integers(1, deepest) | st.integers(1, reach))
+    return BinaryMask(pixels), cap
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(edt_cases())
+# a solid block deeper than the band, capped on either side of BAND_LIMIT
+@example((BinaryMask(np.ones((90, 88), dtype=bool)), BAND_LIMIT - 1))
+@example((BinaryMask(np.ones((90, 88), dtype=bool)), BAND_LIMIT))
+@example((BinaryMask(np.ones((90, 88), dtype=bool)), BAND_LIMIT + 1))
+def test_truncated_edt_equals_brute_force_property(case):
+    mask, cap = case
+    got, want = truncated_edt(mask, cap), brute_force_edt(mask, cap)
+    assert got.radius_cap == want.radius_cap == cap
+    assert np.array_equal(got.values, want.values)

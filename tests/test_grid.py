@@ -3,9 +3,13 @@ import pytest
 
 from dtmask import (
     BinaryMask,
+    BitPlaneStack,
     Box,
     BoxProposal,
     LabelMap,
+    ProbPlaneStack,
+    QuantizationScheme,
+    TruncatedDistanceMap,
     extract_instance,
 )
 from dtmask.grid import MAX_LABEL, sample_raster
@@ -17,6 +21,52 @@ from helpers import (
     rasterize_box,
     resize_nearest_raster_oracle,
 )
+
+
+SCHEME = QuantizationScheme((0, 1, 3))
+RASTER_SHAPE = "raster must be 2-D with positive height and width"
+STACK_SHAPE = "expected a (bins, height, width) stack with 3 planes"
+PLANE_SIDES = "planes must have positive height and width"
+
+# Each raster value type: its constructor, array field, stored dtype,
+# and the leading axis of a valid array (none, or one plane per bin).
+VALUE_TYPES = {
+    "BinaryMask": (BinaryMask, "pixels", bool, ()),
+    "LabelMap": (LabelMap, "labels", np.int32, ()),
+    "TruncatedDistanceMap": (lambda a: TruncatedDistanceMap(a, 5), "values", np.int32, ()),
+    "BitPlaneStack": (lambda a: BitPlaneStack(a, SCHEME), "planes", bool, (3,)),
+    "ProbPlaneStack": (lambda a: ProbPlaneStack(a, SCHEME), "planes", np.float64, (3,)),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_copy_freeze_and_read_shape_off_the_last_two_axes(name):
+    make, field, dtype, lead = VALUE_TYPES[name]
+    # the stored dtype itself, where a view would alias, and another one
+    for src_dtype in (dtype, np.int64):
+        src = np.ones(lead + (2, 3), dtype=src_dtype)
+        value = make(src)
+        arr = getattr(value, field)
+        assert arr.dtype == dtype
+        assert (value.height, value.width) == arr.shape[-2:] == (2, 3)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+        assert src.flags.writeable and not np.shares_memory(arr, src)
+        src[...] = 0  # the caller's array changes; the value does not
+        assert (arr == 1).all()
+    # 1-D, 4-D, a stack with the wrong plane count, and a zero side
+    wrong_planes = (4, 2, 3) if lead else (3, 2, 3)
+    for shape, message in (
+        ((3,), STACK_SHAPE if lead else RASTER_SHAPE),
+        ((1, 3, 2, 3), STACK_SHAPE if lead else RASTER_SHAPE),
+        (wrong_planes, STACK_SHAPE if lead else RASTER_SHAPE),
+        (lead + (0, 3), PLANE_SIDES if lead else RASTER_SHAPE),
+        (lead + (2, 0), PLANE_SIDES if lead else RASTER_SHAPE),
+    ):
+        with pytest.raises(ValueError) as err:
+            make(np.ones(shape, dtype=dtype))
+        assert str(err.value) == message
 
 
 class TestBinaryMask:

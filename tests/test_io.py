@@ -391,6 +391,14 @@ class TestProposalsFormat:
                 read_proposals(path)
             assert str(err.value) == f"{path}: line 1: mask file not found: {name}"
 
+    def test_mask_path_through_a_file_is_not_found(self, tmp_path):
+        (tmp_path / "m.pbm").write_text("P1\n1 1\n1\n")
+        path = tmp_path / "props.txt"
+        path.write_text("0 1 1 4 5 0.5 m.pbm/x.pbm\n")
+        with pytest.raises(FormatError) as err:
+            read_proposals(path)
+        assert str(err.value) == f"{path}: line 1: mask file not found: m.pbm/x.pbm"
+
     def test_non_ascii_byte_names_line_and_offset(self, tmp_path):
         path = tmp_path / "props.txt"
         path.write_bytes(b"0 1 1 4 5 0.5\r\n\xe9 1 1 4 5 0.5\n")
