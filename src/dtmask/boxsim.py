@@ -36,6 +36,7 @@ import numpy as np
 from .grid import (
     BinaryMask,
     Box,
+    _integer,
     _nearest_pixels,
     _overlap,
     _reach,
@@ -66,6 +67,8 @@ class WindowSpec:
     norm_height: int = DEFAULT_NORM_SIZE
 
     def __post_init__(self):
+        _integer(self.norm_width, "normalized window width")
+        _integer(self.norm_height, "normalized window height")
         if self.norm_width < 1 or self.norm_height < 1:
             raise ValueError("normalized window dimensions must be >= 1")
 
@@ -88,9 +91,7 @@ class Perturbation:
 
     def __post_init__(self):
         for name in ("dx", "dy"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)):
-                raise ValueError(f"shift {name} must be an integer, got {v!r}")
+            _integer(getattr(self, name), f"shift {name}")
         for name in ("sx", "sy"):
             v = getattr(self, name)
             if not 0 < v <= sys.float_info.max:
@@ -148,6 +149,7 @@ def perturb_box(box: Box, pert: Perturbation) -> Box:
 
 def shrink_perturbation(box: Box, pixels: int) -> Perturbation:
     """Perturbation that pulls every side of `box` in by `pixels`."""
+    _integer(pixels, "shrink")
     if pixels < 0:
         raise ValueError(f"shrink must be >= 0, got {pixels}")
     if 2 * pixels >= box.width or 2 * pixels >= box.height:
@@ -199,7 +201,9 @@ def _decode_window(
     position of the window's top-left pixel and the pixels there.  The
     window is the box padded by the largest painted radius, cut to the
     canvas; a stack that paints nothing there gives an empty 0 x 0
-    window at (0, 0)."""
+    window at (0, 0).  Each plane paints in its own frame, the bounding
+    box of the window and the plane's mapped centres: it holds every
+    centre and every window pixel, so the window cut from it is exact."""
     num, den = spec.min_scale_fraction()
     box = spec.box
     radii = [_painted_radius(r, mode, num, den) for r in stack.scheme.radii]
@@ -216,26 +220,12 @@ def _decode_window(
     map_y = _nearest_pixels(box.y0 - y, box.height, spec.norm_height)
     for plane, painted in paint:
         ys, xs = np.nonzero(plane)
-        # Scatter the mapped centres into a local raster spanning their
-        # bounding box padded by the painted radius, cut to the bounding
-        # box of the window and the centres.  The cut is exact: it keeps
-        # every centre and every window pixel a disk can reach, and
-        # `_disk_sum` clamps the radius to the local raster's reach, its
-        # rows and half-widths to the local raster's height and width.
         cy, cx = map_y[ys], map_x[xs]
-        x0, y0, x1, y1 = int(cx.min()), int(cy.min()), int(cx.max()) + 1, int(cy.max()) + 1
-        span = Box(
-            max(x0 - painted, min(x0, 0)),
-            max(y0 - painted, min(y0, 0)),
-            min(x1 + painted, max(x1, width)),
-            min(y1 + painted, max(y1, height)),
-        )
-        local = np.zeros((span.height, span.width), dtype=bool)
-        local[cy - span.y0, cx - span.x0] = True
-        part = _overlap(span, width, height)
-        if part is not None:
-            in_window, in_local = part
-            window[in_window] |= _disk_sum(local, painted, bool)[in_local]
+        x0, y0 = min(int(cx.min()), 0), min(int(cy.min()), 0)
+        x1, y1 = max(int(cx.max()) + 1, width), max(int(cy.max()) + 1, height)
+        local = np.zeros((y1 - y0, x1 - x0), dtype=bool)
+        local[cy - y0, cx - x0] = True
+        window |= _disk_sum(local, painted, bool)[-y0 : height - y0, -x0 : width - x0]
     return x, y, window
 
 

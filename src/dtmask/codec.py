@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .grid import BinaryMask, _Raster, _frozen_raster, _reach
+from .grid import BinaryMask, _Raster, _frozen_raster, _integer, _reach
 from .edt import TruncatedDistanceMap
 
 DECODE_MODES = ("conservative", "literal")
@@ -65,16 +65,16 @@ _DRAW_BUFFER = 1 << 14
 class QuantizationScheme:
     """Radius table mapping distance values to bins.
 
-    `radii` must start at 0 and increase strictly.  Bin n (1-based)
-    covers values v with radii[n-1] <= v < radii[n], the last bin every
-    v >= r_K, so the table is the whole scheme: no truncation radius
-    beyond r_K changes a plane.
+    `radii` are integers that start at 0 and increase strictly.  Bin n
+    (1-based) covers values v with radii[n-1] <= v < radii[n], the last
+    bin every v >= r_K, so the table is the whole scheme: no truncation
+    radius beyond r_K changes a plane.
     """
 
     radii: tuple[int, ...]
 
     def __post_init__(self):
-        radii = tuple(int(r) for r in self.radii)
+        radii = tuple(_integer(r, "bin radius") for r in self.radii)
         if len(radii) < 2:
             raise ValueError(f"need at least 2 bins, got {len(radii)}")
         if radii[0] != 0:
@@ -96,6 +96,7 @@ def make_uniform_scheme(bins: int, radius_cap: int) -> QuantizationScheme:
     collide exactly when K >= 3 and R < K, so from 3 bins on the cap
     must be at least K; smaller caps are rejected.
     """
+    bins, radius_cap = _integer(bins, "bin count"), _integer(radius_cap, "radius cap")
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
     if radius_cap < 1:

@@ -58,6 +58,13 @@ class _Raster:
         return getattr(self, self._array_field).shape[-1]
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int; a float or any non-integer is a ValueError."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _reach(height: int, width: int) -> int:
     """Bound on every rounded-up center distance; its disk covers the raster."""
     return math.isqrt((height - 1) ** 2 + (width - 1) ** 2) + 1

@@ -315,20 +315,24 @@ def write_proposals(path, proposals, comments=()) -> None:
     """Write proposals; masks go to sibling PBM files when present.
 
     Masks go to "<path without extension>_masks", created on demand;
-    mask references in the list file are relative to its directory.
+    mask references in the list file are relative to its directory.  A
+    name putting whitespace, '#' or non-ASCII in them is a ValueError.
     """
     path = os.fspath(path)
-    base = os.path.dirname(os.path.abspath(path))
+    proposals = list(proposals)
     mask_dir = os.path.splitext(path)[0] + "_masks"
+    ref = os.path.relpath(mask_dir, os.path.dirname(os.path.abspath(path))).replace(os.sep, "/")
+    bad = [c for c in ref if not c.isascii() or c == "#" or ord(c) in _SPACE]
+    if bad and any(p.mask is not None for p in proposals):
+        raise ValueError(f"mask reference {ref!r} holds {bad[0]!r}, which a proposal list cannot read back")
     lines = _comment_lines(comments)
     for i, p in enumerate(proposals):
         b = p.box
         entry = f"{i} {b.x0} {b.y0} {b.x1} {b.y1} {p.score!r}"
         if p.mask is not None:
             os.makedirs(mask_dir, exist_ok=True)
-            mask_file = os.path.join(mask_dir, f"mask_{i:04d}.pbm")
-            write_mask(mask_file, p.mask)
-            entry += " " + os.path.relpath(mask_file, base).replace(os.sep, "/")
+            write_mask(os.path.join(mask_dir, f"mask_{i:04d}.pbm"), p.mask)
+            entry += f" {ref}/mask_{i:04d}.pbm"
         lines.append(entry)
     _write(path, lines)
 

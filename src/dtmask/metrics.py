@@ -20,8 +20,9 @@ kernel scores eval, mask NMS and `boxsim.robustness_sweep`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -149,15 +150,6 @@ def _iou_matrix(a: _LocalMasks, b: _LocalMasks) -> np.ndarray:
     return out
 
 
-def _proposal_gt_matrix(
-    proposals: Sequence[BoxProposal], gts: Sequence[BinaryMask]
-) -> np.ndarray:
-    h, w = _canvas_shape(gts)
-    return _iou_matrix(
-        _proposal_masks(proposals, w, h), _local_masks((0, 0, g.pixels) for g in gts)
-    )
-
-
 def _claim_ranks(
     iou_mat: np.ndarray, order: Sequence[int], iou_thresh: float
 ) -> np.ndarray:
@@ -179,6 +171,18 @@ def _claim_ranks(
     return ranks
 
 
+def _match(
+    proposals: Sequence[BoxProposal], gts: Sequence[BinaryMask]
+) -> tuple[np.ndarray, list[int], Callable[[float], np.ndarray]]:
+    """The proposal x ground-truth IoU matrix, the score order, and the
+    claim ranks at a threshold, matched once per distinct threshold on
+    first use, so a caller's checks run before any matching."""
+    h, w = _canvas_shape(gts)
+    mat = _iou_matrix(_proposal_masks(proposals, w, h), _local_masks((0, 0, g.pixels) for g in gts))
+    order = _score_order(proposals)
+    return mat, order, functools.cache(lambda t: _claim_ranks(mat, order, t))
+
+
 def _check_ascending(thresholds: Sequence[float]) -> None:
     if any(b < a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be sorted ascending")
@@ -194,9 +198,9 @@ def _recall(ranks: np.ndarray, n: int) -> float:
     return int(np.count_nonzero(ranks < n)) / ranks.size
 
 
-def _mean_recall(ranks_at: dict[float, np.ndarray], n: int) -> float:
+def _mean_recall(ranks: Callable[[float], np.ndarray], n: int) -> float:
     """Recall of the top n proposals averaged over `AR_IOU_THRESHOLDS`."""
-    return sum(_recall(ranks_at[t], n) for t in AR_IOU_THRESHOLDS) / len(AR_IOU_THRESHOLDS)
+    return sum(_recall(ranks(t), n) for t in AR_IOU_THRESHOLDS) / len(AR_IOU_THRESHOLDS)
 
 
 def _average_precision(ranks: np.ndarray, n_props: int) -> float:
@@ -215,9 +219,8 @@ def greedy_match(
     proposals: Sequence[BoxProposal], gts: Sequence[BinaryMask], iou_thresh: float
 ) -> MatchResult:
     """Match proposals to ground truths by mask IoU, greedily by score."""
-    mat = _proposal_gt_matrix(proposals, gts)
-    order = _score_order(proposals)
-    ranks = _claim_ranks(mat, order, iou_thresh).tolist()
+    mat, order, claim_ranks = _match(proposals, gts)
+    ranks = claim_ranks(iou_thresh).tolist()
     claimed = sorted((r, j) for j, r in enumerate(ranks) if r < len(order))
     return MatchResult(
         tuple((order[r], j, float(mat[order[r], j])) for r, j in claimed),
@@ -236,9 +239,8 @@ def recall_curve(
     along the curve.
     """
     _check_ascending(thresholds)
-    mat = _proposal_gt_matrix(proposals, gts)
-    order = _score_order(proposals)
-    return [(float(t), _recall(_claim_ranks(mat, order, t), len(order))) for t in thresholds]
+    _, order, ranks = _match(proposals, gts)
+    return [(float(t), _recall(ranks(t), len(order))) for t in thresholds]
 
 
 def top_scoring(proposals: Sequence[BoxProposal], n: int) -> list[BoxProposal]:
@@ -252,10 +254,8 @@ def average_recall(
 ) -> float:
     """Mean recall of the top-n proposals over the standard IoU grid."""
     _check_budget(n)
-    mat = _proposal_gt_matrix(proposals, gts)
-    order = _score_order(proposals)[:n]
-    ranks_at = {t: _claim_ranks(mat, order, t) for t in AR_IOU_THRESHOLDS}
-    return _mean_recall(ranks_at, len(order))
+    _, order, ranks = _match(proposals, gts)
+    return _mean_recall(ranks, min(n, len(order)))
 
 
 def average_precision(
@@ -267,9 +267,8 @@ def average_precision(
     greedy matcher pairs it with a ground truth at `iou_thresh`.  All
     recall points contribute (all-points interpolation).
     """
-    mat = _proposal_gt_matrix(proposals, gts)
-    order = _score_order(proposals)
-    return _average_precision(_claim_ranks(mat, order, iou_thresh), len(order))
+    _, order, ranks = _match(proposals, gts)
+    return _average_precision(ranks(iou_thresh), len(order))
 
 
 # Below this coordinate magnitude box areas and unions stay under 2**53,
@@ -349,21 +348,18 @@ def evaluate(
     each distinct threshold of `AR_IOU_THRESHOLDS` and `ap_ious`.  The
     report keys results by budget and threshold, so repeats are rejected.
     """
-    mat = _proposal_gt_matrix(proposals, gts)
+    _, order, ranks = _match(proposals, gts)
     for n in ar_ns:
         _check_budget(n)
     for what, values in (("AR budget", ar_ns), ("AP IoU threshold", ap_ious)):
         repeated = [v for k, v in enumerate(values) if v in values[:k]]
         if repeated:
             raise ValueError(f"{what} {repeated[0]} is repeated")
-    order = _score_order(proposals)
     m = len(order)
-    thresholds = dict.fromkeys([*AR_IOU_THRESHOLDS, *ap_ious])
-    ranks_at = {t: _claim_ranks(mat, order, t) for t in thresholds}
     return EvalReport(
         num_ground_truth=len(gts),
         num_proposals=len(proposals),
-        curve=[(t, _recall(ranks_at[t], m)) for t in AR_IOU_THRESHOLDS],
-        ar_at_n={n: _mean_recall(ranks_at, min(n, m)) for n in ar_ns},
-        ap_at={t: _average_precision(ranks_at[t], m) for t in ap_ious},
+        curve=[(t, _recall(ranks(t), m)) for t in AR_IOU_THRESHOLDS],
+        ar_at_n={n: _mean_recall(ranks, min(n, m)) for n in ar_ns},
+        ap_at={t: _average_precision(ranks(t), m) for t in ap_ious},
     )

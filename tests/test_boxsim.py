@@ -73,6 +73,17 @@ class TestWindowSpec:
         with pytest.raises(ValueError):
             WindowSpec(Box(0, 0, 4, 4), 0, 28)
 
+    def test_norm_dims_must_be_integers(self):
+        # 2.5 used to pass here and fail later against the stack's shape
+        for dims, message in (
+            ((2.5, 3), "normalized window width must be an integer, got 2.5"),
+            ((3, 28.0), "normalized window height must be an integer, got 28.0"),
+        ):
+            with pytest.raises(ValueError) as err:
+                WindowSpec(Box(0, 0, 4, 4), *dims)
+            assert str(err.value) == message
+        assert WindowSpec(Box(0, 0, 4, 4), np.int64(3), np.int32(2)).min_scale_fraction() == (2, 4)
+
 
 class TestPerturbBox:
     def test_identity(self):
@@ -157,6 +168,13 @@ class TestShrinkPerturbation:
             shrink_perturbation(Box(0, 0, 6, 6), 3)
         with pytest.raises(ValueError):
             shrink_perturbation(Box(0, 0, 6, 6), -1)
+
+    def test_shrink_must_be_an_integer(self):
+        # 1.5 used to shrink each side by 2 px
+        for bad in (1.5, 1.0, np.float64(1)):
+            with pytest.raises(ValueError, match="^shrink must be an integer, got "):
+                shrink_perturbation(Box(0, 0, 10, 10), bad)
+        assert shrink_perturbation(Box(0, 0, 10, 10), np.int64(1)) == Perturbation(sx=0.8, sy=0.8)
 
 
 class TestEncodeWindow:

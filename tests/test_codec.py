@@ -56,6 +56,16 @@ class TestQuantizationScheme:
         with pytest.raises(ValueError):
             QuantizationScheme((0,))
 
+    def test_radii_must_be_integers(self):
+        # int() would truncate them to (0, 2, 5)
+        with pytest.raises(ValueError) as err:
+            QuantizationScheme((0, 2.7, 5.9))
+        assert str(err.value) == "bin radius must be an integer, got 2.7"
+        for bad in (np.float64(2.0), "2"):
+            with pytest.raises(ValueError, match="bin radius must be an integer"):
+                QuantizationScheme((0, bad))
+        assert QuantizationScheme((np.int64(0), np.int32(2), 5)).radii == (0, 2, 5)
+
 
 class TestMakeUniformScheme:
     def test_binary_scheme(self):
@@ -99,6 +109,19 @@ class TestMakeUniformScheme:
             make_uniform_scheme(1, 5)
         with pytest.raises(ValueError):
             make_uniform_scheme(3, 0)
+
+    def test_counts_and_caps_must_be_integers(self):
+        # 13.5 used to build the scheme of 13, and 5.0 bins failed in range()
+        for args, message in (
+            ((5, 13.5), "radius cap must be an integer, got 13.5"),
+            ((5.0, 13), "bin count must be an integer, got 5.0"),
+        ):
+            with pytest.raises(ValueError) as err:
+                make_uniform_scheme(*args)
+            assert str(err.value) == message
+        with pytest.raises(ValueError, match="radius cap must be an integer"):
+            make_uniform_scheme(5, np.float32(13))
+        assert make_uniform_scheme(np.int64(5), np.int32(13)) == make_uniform_scheme(5, 13)
 
 
 class TestEncode:

@@ -354,6 +354,25 @@ class TestProposalsFormat:
         assert (tmp_path / "props_masks" / "mask_0000.pbm").exists()
         assert "props_masks/mask_0000.pbm" in path.read_text()
 
+    @pytest.mark.parametrize("name, bad", [("a#b.txt", "#"), ("my props.txt", " "), ("é.txt", "é")])
+    def test_unreadable_mask_reference_rejected_before_writing(self, tmp_path, name, bad):
+        # the reader cuts a line at '#', splits it at whitespace and
+        # takes ASCII only, so these references could not be read back
+        props = [
+            BoxProposal(Box(0, 0, 2, 2), 0.5),
+            BoxProposal(Box(0, 0, 2, 2), 0.25, BinaryMask(np.ones((2, 2), bool))),
+        ]
+        ref = name.rsplit(".", 1)[0] + "_masks"
+        with pytest.raises(ValueError) as err:
+            write_proposals(tmp_path / name, props)
+        assert str(err.value) == (
+            f"mask reference {ref!r} holds {bad!r}, which a proposal list cannot read back"
+        )
+        assert list(tmp_path.iterdir()) == []
+        # a list without masks refers to no file
+        write_proposals(tmp_path / name, props[:1])
+        assert [p.box for p in read_proposals(tmp_path / name)] == [props[0].box]
+
     def test_empty_list_writes_empty_file(self, tmp_path):
         path = tmp_path / "none.txt"
         write_proposals(path, [])
