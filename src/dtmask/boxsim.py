@@ -243,7 +243,7 @@ def decode_to_canvas(
     at the scale `spec.min_scale_fraction()`.  Disks extend beyond the
     box freely and are clipped only at the canvas edge.
     """
-    if canvas_width < 1 or canvas_height < 1:
+    if _integer(canvas_width, "canvas width") < 1 or _integer(canvas_height, "canvas height") < 1:
         raise ValueError("canvas dimensions must be >= 1")
     if (stack.height, stack.width) != (spec.norm_height, spec.norm_width):
         raise ValueError("stack dimensions do not match the normalized window")

@@ -372,7 +372,7 @@ def corrupt(stack: BitPlaneStack, flip_prob: float, seed: int) -> BitPlaneStack:
     """
     if not (0.0 <= flip_prob <= 1.0):
         raise ValueError(f"flip probability must lie in [0, 1], got {flip_prob}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     planes = stack.planes.copy()
     bits = planes.reshape(-1)
     draw = np.empty(min(_DRAW_BUFFER, bits.size), dtype=np.float64)

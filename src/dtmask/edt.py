@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grid import BinaryMask, Box, _Raster, _frozen_raster, _reach, sample_raster
+from .grid import BinaryMask, Box, _Raster, _frozen_raster, _integer, _reach, sample_raster
 
 # Widest band C taken by the separable passes.  Their cost grows with C
 # up to the thickest object's column depth, and the feature transform's
@@ -46,6 +46,14 @@ from .grid import BinaryMask, Box, _Raster, _frozen_raster, _reach, sample_raste
 BAND_LIMIT = 40
 
 
+def _radius_cap(value) -> int:
+    """`value` as a truncation radius: an integer >= 1, else a ValueError."""
+    cap = _integer(value, "radius cap")
+    if cap < 1:
+        raise ValueError(f"radius cap must be >= 1, got {cap}")
+    return cap
+
+
 @dataclass(frozen=True, eq=False)
 class TruncatedDistanceMap(_Raster):
     """Integer distance raster together with its truncation radius."""
@@ -55,9 +63,7 @@ class TruncatedDistanceMap(_Raster):
     _array_field = "values"
 
     def __post_init__(self):
-        if not isinstance(self.radius_cap, (int, np.integer)) or self.radius_cap < 1:
-            raise ValueError(f"radius cap must be a positive integer, got {self.radius_cap!r}")
-        object.__setattr__(self, "radius_cap", int(self.radius_cap))
+        object.__setattr__(self, "radius_cap", _radius_cap(self.radius_cap))
         values = _frozen_raster(self.values, np.int32, self.radius_cap, "distance values")
         object.__setattr__(self, "values", values)
 
@@ -95,8 +101,7 @@ def truncated_edt(mask: BinaryMask, radius_cap: int) -> TruncatedDistanceMap:
     takes the nearest Q pixel from scipy's exact feature transform.
     Pixels in Q (including all background) get value 0.
     """
-    if radius_cap < 1:
-        raise ValueError(f"radius cap must be >= 1, got {radius_cap}")
+    radius_cap = _radius_cap(radius_cap)
     q = boundary_set(mask).pixels
     h, w = q.shape
     band = min(radius_cap, _reach(h, w))
@@ -157,8 +162,7 @@ def brute_force_edt(mask: BinaryMask, radius_cap: int) -> TruncatedDistanceMap:
     s >= 1).  Quadratic in the worst case; intended for verification,
     not production use.
     """
-    if radius_cap < 1:
-        raise ValueError(f"radius cap must be >= 1, got {radius_cap}")
+    radius_cap = _radius_cap(radius_cap)
     q = boundary_set(mask).pixels
     out = np.zeros(mask.pixels.shape, dtype=np.int32)
     py, px = np.nonzero(~q)

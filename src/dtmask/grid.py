@@ -130,10 +130,7 @@ class Box:
 
     def __post_init__(self):
         for name in ("x0", "y0", "x1", "y1"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)):
-                raise ValueError(f"box coordinate {name} must be an integer")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _integer(getattr(self, name), f"box coordinate {name}"))
         if self.x1 <= self.x0 or self.y1 <= self.y0:
             raise ValueError(
                 f"degenerate box: ({self.x0}, {self.y0}, {self.x1}, {self.y1})"
@@ -227,7 +224,7 @@ class BoxProposal:
 
 def extract_instance(label_map: LabelMap, instance_id: int) -> BinaryMask:
     """Binary mask of one instance of a label map."""
-    if instance_id <= 0:
+    if _integer(instance_id, "instance id") <= 0:
         raise ValueError(f"instance id must be positive, got {instance_id}")
     pixels = label_map.labels == instance_id
     if not pixels.any():
@@ -250,7 +247,7 @@ def sample_raster(
     toward the lower index; cells whose pixel is off the raster read 0.
     Only the sampled pixels are gathered, never the box.
     """
-    if out_width < 1 or out_height < 1:
+    if _integer(out_width, "resize target width") < 1 or _integer(out_height, "resize target height") < 1:
         raise ValueError("resize target must have positive dimensions")
     h, w = raster.shape
     ys = _nearest_pixels(box.y0, box.height, out_height)

@@ -47,8 +47,6 @@ class FormatError(ValueError):
 _SPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _LINE_BREAK = re.compile(rb"[\n\r\x0b\x0c\x1c-\x1e]")
 _TOKEN = re.compile(rb"[^ \t\n\r\x0b\x0c\x1c-\x1f]+")
-# bytes.split() does not split on \x1c-\x1f.
-_SPACE_TO_BLANK = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
 
 
 def _read_ascii(path) -> bytes:
@@ -136,7 +134,7 @@ class _RasterFile:
         return arr.view(bool).reshape(shape)
 
     def ints(self, shape: tuple[int, ...], what: str) -> np.ndarray:
-        """The body as flat int64, or as Python ints if one is beyond int64."""
+        """The body, flat: int64 from the digit decode, else Python ints."""
         self.shape = shape
         body = self.data[self.pos :]
         digits = body.translate(None, _SPACE)
@@ -144,13 +142,9 @@ class _RasterFile:
             values = self._digit_ints(body, digits, what)
             if values is not None:
                 return values
-        tokens = body.translate(_SPACE_TO_BLANK).split()
+        tokens = _TOKEN.findall(body)
         self._check_count(len(tokens), what)
-        try:
-            return np.fromiter(map(int, tokens), np.int64, len(tokens))
-        except (ValueError, OverflowError):
-            # Rescan to name a bad token; one beyond int64 fails a range check.
-            return np.array([self._parse(t, what, k) for k, t in enumerate(tokens)], dtype=object)
+        return np.array([self._parse(t, what, k) for k, t in enumerate(tokens)], dtype=object)
 
     def _check_count(self, found: int, what: str) -> None:
         if found != math.prod(self.shape):
@@ -186,7 +180,15 @@ class _RasterFile:
 
 
 def _comment_lines(comments) -> list[str]:
-    return [f"# {c}" for c in comments]
+    """Each comment as a '#' line.  A comment holding a non-ASCII character
+    or a line break is a ValueError; writers call this before they create
+    anything, so a bad comment leaves no file behind."""
+    lines = [f"# {c}" for c in comments]
+    for line in lines:
+        bad = [ch for ch in line if not ch.isascii() or _LINE_BREAK.match(ch.encode())]
+        if bad:
+            raise ValueError(f"comment {line[2:]!r} holds {bad[0]!r}, which a comment line cannot carry")
+    return lines
 
 
 def _write(path, lines, raster=None) -> None:
@@ -195,8 +197,9 @@ def _write(path, lines, raster=None) -> None:
     bits = raster is not None and raster.dtype == bool
     if raster is not None and not bits:
         lines = [*lines, *(" ".join(map(str, row)) for row in raster.tolist())]
+    text = "".join(f"{line}\n" for line in lines).encode("ascii")
     with open(path, "wb") as fh:
-        fh.write("".join(f"{line}\n" for line in lines).encode("ascii"))
+        fh.write(text)
         if bits:
             rows = raster.reshape(-1, raster.shape[-1])
             buf = np.full((len(rows), 2 * rows.shape[1]), ord(" "), dtype=np.uint8)
@@ -292,20 +295,17 @@ def read_proposals(path) -> list[BoxProposal]:
         fields = line.split()
         if len(fields) not in (6, 7):
             raise FormatError(f"{path}: line {lineno}: expected 6 or 7 fields, got {len(fields)}")
+        # Fields, then the mask file, then the score range (in BoxProposal).
         try:
             int(fields[0])
             box = Box(*(int(v) for v in fields[1:5]))
             score = float(fields[5])
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno}: {exc}") from None
-        mask = None
-        if len(fields) == 7:
-            try:
-                mask = read_mask(os.path.join(base, fields[6]))
-            except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-                raise FormatError(f"{path}: line {lineno}: mask file not found: {fields[6]}") from None
-        try:
+            mask = read_mask(os.path.join(base, fields[6])) if len(fields) == 7 else None
             out.append(BoxProposal(box, score, mask))
+        except FormatError:
+            raise
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            raise FormatError(f"{path}: line {lineno}: mask file not found: {fields[6]}") from None
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from None
     return out

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import BinaryMask, Box, BoxProposal
+from .grid import BinaryMask, Box, BoxProposal, _integer
 
 # Recall is averaged over this IoU grid for AR@N.
 AR_IOU_THRESHOLDS = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
@@ -189,7 +189,7 @@ def _check_ascending(thresholds: Sequence[float]) -> None:
 
 
 def _check_budget(n: int) -> None:
-    if n < 1:
+    if _integer(n, "proposal budget") < 1:
         raise ValueError(f"proposal budget must be >= 1, got {n}")
 
 

@@ -126,6 +126,24 @@ class TestTruncatedEdt:
         with pytest.raises(ValueError):
             brute_force_edt(m, 0)
 
+    def test_every_cap_check_is_one_value_error(self):
+        # the transforms, the window view and the value type check a cap alike
+        m = BinaryMask(np.ones((2, 2), dtype=bool))
+        window = Box(0, 0, 2, 2)
+        for cap, want in (
+            (1.5, "radius cap must be an integer, got 1.5"),
+            (0, "radius cap must be >= 1, got 0"),
+        ):
+            for make in (
+                lambda: truncated_edt(m, cap),
+                lambda: brute_force_edt(m, cap),
+                lambda: edt_with_external_boundary(m, window, cap),
+                lambda: TruncatedDistanceMap(np.zeros((2, 2), int), cap),
+            ):
+                with pytest.raises(ValueError) as err:
+                    make()
+                assert str(err.value) == want
+
     def test_zero_set_is_boundary_set(self):
         rng = np.random.default_rng(31)
         for _ in range(25):

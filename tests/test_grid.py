@@ -118,8 +118,10 @@ class TestBox:
         assert (b.width, b.height, b.box_area) == (5, 3, 15)
 
     def test_non_integer_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^box coordinate x0 must be an integer, got 0.5$"):
             Box(0.5, 0, 2, 2)
+        with pytest.raises(ValueError, match="^box coordinate y1 must be an integer, got '2'$"):
+            Box(0, 0, 2, "2")
 
 
 class TestBoxProposal:

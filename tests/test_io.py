@@ -425,6 +425,24 @@ class TestProposalsFormat:
             read_proposals(path)
         assert str(err.value) == f"non-ASCII byte 0xe9 at line 2, offset 15 (file {path})"
 
+    def test_checks_fields_then_mask_file_then_score(self, tmp_path):
+        path = tmp_path / "props.txt"
+        bad_mask = tmp_path / "bad.pbm"
+        bad_mask.write_text("P1\n2 2\n0 1\n")
+        cases = [
+            # the mask reader's own error reaches the caller as it is
+            ("0 1 1 4 5 0.5 bad.pbm", f"expected 4 pixel digits, found 2 (file {bad_mask})"),
+            ("0 1 1 4 5 1.25 nowhere.pbm", f"{path}: line 1: mask file not found: nowhere.pbm"),
+            ("0 1 1 4 5 1.25 bad.pbm", f"expected 4 pixel digits, found 2 (file {bad_mask})"),
+            ("0 1 x 4 5 1.25 nowhere.pbm", f"{path}: line 1: invalid literal for int() with base 10: 'x'"),
+            ("0 1 1 4 5 1.25", f"{path}: line 1: score must lie in [0, 1], got 1.25"),
+        ]
+        for line, want in cases:
+            path.write_text(line + "\n")
+            with pytest.raises(FormatError) as err:
+                read_proposals(path)
+            assert str(err.value) == want, line
+
     def test_non_integer_coordinate(self, tmp_path):
         path = tmp_path / "props.txt"
         path.write_text("0 1 one 4 5 0.5\n")
@@ -493,6 +511,28 @@ def test_non_ascii_byte_is_a_format_error(tmp_path, read, text):
         read(path)
     want = f"non-ASCII byte 0x{text[offset]:02x} at line {line}, offset {offset} (file {path})"
     assert str(err.value) == want
+
+
+@pytest.mark.parametrize(
+    "write, comment, bad",
+    [
+        (lambda p, c: write_mask(p, BinaryMask([[1]]), comments=[c]), "é", "é"),
+        (
+            lambda p, c: write_proposals(p, [BoxProposal(Box(0, 0, 1, 1), 0.5, BinaryMask([[1]]))], [c]),
+            "é",
+            "é",
+        ),
+        (lambda p, c: write_mask(p, BinaryMask([[1]]), comments=[c]), "a\n1 1", "\n"),
+        (lambda p, c: write_csv(p, ["a"], [[1]], comments=[c]), "x\ry", "\r"),
+    ],
+    ids=["mask-non-ascii", "proposals-non-ascii", "mask-line-break", "csv-line-break"],
+)
+def test_unwritable_comment_rejected_before_writing(tmp_path, write, comment, bad):
+    # a comment line that would not encode, or would read back as data
+    with pytest.raises(ValueError) as err:
+        write(tmp_path / "out.txt", comment)
+    assert str(err.value) == f"comment {comment!r} holds {bad!r}, which a comment line cannot carry"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_writers_use_unix_newlines(tmp_path):

@@ -68,6 +68,18 @@ NON_ASCII = [b"\x80", b"\xe9", b"\xff"]
 ASCII = st.text(st.characters(min_codepoint=0, max_codepoint=127), max_size=6)
 COMMENTS = st.lists(ASCII.filter(lambda c: "\n" not in c and "\r" not in c), max_size=2)
 
+
+def _refused(write, path, comments) -> bool:
+    """True if a comment holds one of the other str.splitlines breaks,
+    after checking that `write(path)` refuses it and creates nothing: the
+    reference writers keep such a comment, which then reads back as data."""
+    if not any(ch in "\x0b\x0c\x1c\x1d\x1e" for c in comments for ch in c):
+        return False
+    with pytest.raises(ValueError, match="^comment "):
+        write(path)
+    assert not path.exists() and not path.with_name(path.stem + "_masks").exists()
+    return True
+
 shapes = st.tuples(st.integers(1, 5), st.integers(1, 5))
 
 
@@ -178,6 +190,8 @@ def _mutate(data: bytes, ops) -> bytes:
 def test_writer_bytes_match_the_reference(tmp_path, name, data, comments):
     values, write, write_oracle, *_ = FORMATS[name]
     value = data.draw(values)
+    if _refused(lambda p: write(p, value, comments), tmp_path / "refused", comments):
+        return
     write(tmp_path / "new", value, comments)
     write_oracle(tmp_path / "old", value, comments)
     assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
@@ -210,6 +224,8 @@ def test_reader_matches_the_reference_on_mutated_files(tmp_path, name, data, com
 )
 def test_csv_bytes_match_the_reference(tmp_path, rows, comments):
     header = ["n", "x", "ok", "name"]
+    if _refused(lambda p: write_csv(p, header, rows, comments), tmp_path / "refused.csv", comments):
+        return
     write_csv(tmp_path / "new.csv", header, rows, comments)
     write_csv_oracle(tmp_path / "old.csv", header, rows, comments)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -230,11 +246,12 @@ def test_proposals_match_the_reference(tmp_path, data, comments, ops):
     new, old = tmp_path / "new", tmp_path / "old"
     new.mkdir(exist_ok=True)
     old.mkdir(exist_ok=True)
-    write_proposals(new / "p.txt", props, comments=comments)
     write_proposals_oracle(old / "p.txt", props, comments=comments)
-    written = [f"p_masks/mask_{i:04d}.pbm" for i, p in enumerate(props) if p.mask is not None]
-    for name in ["p.txt", *written]:
-        assert (new / name).read_bytes() == (old / name).read_bytes()
+    if not _refused(lambda p: write_proposals(p, props, comments=comments), new / "refused.txt", comments):
+        write_proposals(new / "p.txt", props, comments=comments)
+        written = [f"p_masks/mask_{i:04d}.pbm" for i, p in enumerate(props) if p.mask is not None]
+        for name in ["p.txt", *written]:
+            assert (new / name).read_bytes() == (old / name).read_bytes()
 
     path = old / "p.txt"
     path.write_bytes(_mutate(path.read_bytes(), ops))
