@@ -16,12 +16,24 @@ decoder bit for bit.  It never evaluates the sigmoid on a raster: the
 sum is compared with t*, the least float64 whose sigmoid reaches the
 threshold, found once per call by bisection over the float64 order.
 
+Decisive bits: when the stack is bit planes and bias < t* <= bias + w_n
+in float64 for every painting bin n, one covering disk decides a pixel,
+so the soft decoder returns the hard decoder's union of disks and sums
+nothing.  That is exact.  The condition makes every painting weight
+positive; counts are non-negative integers, so each term fl(c * w_n) is
+>= 0, and >= w_n when c >= 1; rounded addition is monotone.  A pixel
+covered by a disk of bin m therefore ends at or above
+fl(bias + w_m) >= t*, and an uncovered pixel ends at bias < t*.  The
+defaults, w = 10 and bias = -5, take this path.  Scores, and weights
+that need two disks, take the count path.
+
 Every disk is painted by one primitive, `_disk_sum`, which grows a row
 run one column each way per step and adds it to every output row whose
 disk half-width it has reached.  The hard decoders only ask where a disk
-lands, and run it with a bool accumulator.  Bit planes, the corrupted
-ones `corrupt` returns included, are counted in the narrowest integer
-type that holds the largest possible count, int16 for most radii;
+lands, and run it with a bool accumulator, as does the soft decoder
+on decisive bits.  Where it counts bit planes, the corrupted ones
+`corrupt` returns included, it counts in the narrowest integer type
+that holds the largest possible count, int16 for most radii;
 real-valued scores sum in float64.  A count of bits is an integer that
 float64 holds exactly, so the soft decoder gives the same mask for bits
 as for the same 0/1 values held as scores.  A radius-0 disk is the
@@ -129,8 +141,13 @@ class BitPlaneStack(_Raster):
         object.__setattr__(self, "planes", planes)
 
     def is_one_hot(self) -> bool:
-        """True when exactly one plane is set at every pixel."""
-        return bool((self.planes.sum(axis=0, dtype=np.int32) == 1).all())
+        """True when exactly one plane is set at every pixel.
+
+        The bits are summed in the narrowest type that holds the plane
+        count, uint8 up to 255 planes, so no count wraps to 1.
+        """
+        count = self.planes.sum(axis=0, dtype=np.min_scalar_type(self.scheme.bins))
+        return bool((count == 1).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,12 +285,31 @@ def encode(dmap: TruncatedDistanceMap, scheme: QuantizationScheme) -> BitPlaneSt
     """
     if dmap.radius_cap < scheme.radii[-1]:
         raise ValueError(f"distance map is capped at {dmap.radius_cap}, below the largest bin radius {scheme.radii[-1]}")
-    # Radii past int32 exceed every stored value: leave them out, uncast.
-    radii = np.array([r for r in scheme.radii if r <= np.iinfo(np.int32).max], dtype=np.int32)
-    # Largest n with radii[n] <= value, vectorized over the raster.
-    idx = np.searchsorted(radii, dmap.values, side="right") - 1
-    planes = idx[None, :, :] == np.arange(scheme.bins)[:, None, None]
+    # Plane n first holds v >= r_n, then drops v >= r_{n+1}: the sets
+    # are nested, so XOR leaves r_n <= v < r_{n+1}.  Every value is
+    # >= r_1 = 0.  Radii past int32 exceed every stored value: they are
+    # skipped, never compared, and their planes stay empty.
+    planes = np.zeros((scheme.bins, *dmap.values.shape), dtype=bool)
+    planes[0] = True
+    for n, r in enumerate(scheme.radii[1:], start=1):
+        if r > np.iinfo(np.int32).max:
+            break
+        np.greater_equal(dmap.values, r, out=planes[n])
+        planes[n - 1] ^= planes[n]
     return BitPlaneStack(planes, scheme)
+
+
+def _union_of_disks(planes: np.ndarray, painted: list[int | None]) -> np.ndarray:
+    """Pixels within `painted[n]` of a set bit of plane n, for any n.
+
+    A bin whose painted radius is None paints nothing.
+    """
+    out = np.zeros(planes.shape[1:], dtype=bool)
+    for plane, radius in zip(planes, painted):
+        if radius is None or not plane.any():
+            continue
+        out |= _disk_sum(plane, radius, bool)
+    return out
 
 
 def hard_decode(stack: BitPlaneStack, mode: str = "conservative") -> BinaryMask:
@@ -285,13 +321,8 @@ def hard_decode(stack: BitPlaneStack, mode: str = "conservative") -> BinaryMask:
     """
     if not stack.is_one_hot():
         raise ValueError("stack is not one-hot; every pixel needs exactly one set bit")
-    out = np.zeros((stack.height, stack.width), dtype=bool)
-    for plane, bin_radius in zip(stack.planes, stack.scheme.radii):
-        painted = _painted_radius(bin_radius, mode)
-        if painted is None or not plane.any():
-            continue
-        out |= _disk_sum(plane, painted, bool)
-    return BinaryMask(out)
+    painted = [_painted_radius(r, mode) for r in stack.scheme.radii]
+    return BinaryMask(_union_of_disks(stack.planes, painted))
 
 
 def soft_decode(
@@ -320,7 +351,16 @@ def soft_decode(
     largest count plane n can reach, are rejected before any raster is
     built.
 
-    Bit planes are counted exactly.  Fractional scores sum with rounding
+    Bit planes are counted exactly.  When bias < t* <= bias + w_n in
+    float64 for every painting bin n, as at the defaults, a bit stack is
+    decoded as the union of its painting disks instead, with the hard
+    decoder's loop.  The mask is the same: the condition makes every
+    painting weight positive, each term fl(c * w_n) of a count c >= 0 is
+    >= 0 and is >= w_n when c >= 1, and rounded addition is monotone,
+    so a pixel covered by a disk of bin m ends at or above
+    fl(bias + w_m) >= t*, and an uncovered pixel ends at bias < t*.
+
+    Fractional scores sum with rounding
     (`_disk_sum`: up to 8.9e-16, 1.1e-14 and 4.5e-13 at r = 1, 3 and 12
     on a 40 x 300 plane of uniform scores), so a pixel whose sum lies
     within that rounding of t* may decide otherwise than an exact sum
@@ -349,6 +389,14 @@ def soft_decode(
         raise ValueError(
             f"weight {weight} and bias {bias} can overflow the soft-decode sum"
         )
+    t_star = _logit_floor(threshold)
+    bias = np.float64(bias)
+    if (
+        isinstance(stack, BitPlaneStack)
+        and bias < t_star
+        and all(t_star <= bias + wn for radius, wn in zip(painted, weights) if radius is not None)
+    ):
+        return BinaryMask(_union_of_disks(stack.planes, painted))
     total = np.full((h, w), bias, dtype=np.float64)
     term = np.empty((h, w), dtype=np.float64)
     for plane, radius, wn in zip(stack.planes, painted, weights):
@@ -356,7 +404,7 @@ def soft_decode(
             continue
         np.multiply(_disk_sum(plane, radius), wn, out=term)
         total += term
-    return BinaryMask(total >= _logit_floor(threshold))
+    return BinaryMask(total >= t_star)
 
 
 def corrupt(stack: BitPlaneStack, flip_prob: float, seed: int) -> BitPlaneStack:

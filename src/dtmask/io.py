@@ -338,9 +338,19 @@ def write_proposals(path, proposals, comments=()) -> None:
 
 
 def write_csv(path, header: list[str], rows, comments=()) -> None:
-    """Minimal deterministic CSV: '#' comments, header line, data rows."""
-    rows = [",".join(_csv_cell(v) for v in row) for row in rows]
-    _write(path, [*_comment_lines(comments), ",".join(header), *rows])
+    """Minimal deterministic CSV: '#' comments, header line, data rows.
+
+    Cells are written verbatim, so a header or data cell holding ',',
+    '\n' or '\r' is a ValueError, raised before any file is created.
+    """
+    lines = _comment_lines(comments)
+    for cells in [header, *([_csv_cell(v) for v in row] for row in rows)]:
+        for cell in cells:
+            bad = [ch for ch in cell if ch in ",\n\r"]
+            if bad:
+                raise ValueError(f"CSV cell {cell!r} holds {bad[0]!r}, which a cell cannot carry")
+        lines.append(",".join(cells))
+    _write(path, lines)
 
 
 def _csv_cell(v) -> str:

@@ -28,6 +28,7 @@ from dtmask import (
     write_bps,
 )
 
+from dtmask import codec
 from dtmask.codec import _DRAW_BUFFER, _disk_sum, _logit_floor, _painted_radius
 from dtmask.edt import BAND_LIMIT
 from dtmask.grid import _reach
@@ -235,6 +236,16 @@ class TestHardDecode:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             hard_decode(_single_bit_stack(), "fuzzy")
+
+    def test_one_hot_count_does_not_wrap(self):
+        # 257 bits at one pixel: a uint8 count would wrap to 1
+        planes = np.zeros((257, 2, 2), dtype=bool)
+        planes[0] = True
+        planes[:, 0, 1] = True
+        stack = BitPlaneStack(planes, QuantizationScheme(tuple(range(257))))
+        assert not stack.is_one_hot()
+        with pytest.raises(ValueError, match="one-hot"):
+            hard_decode(stack)
 
     def test_matches_oracle_on_random_stacks(self):
         rng = np.random.default_rng(53)
@@ -502,6 +513,83 @@ class TestSoftDecode:
             scores[nan_at] = np.nan
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ProbPlaneStack(scores, make_uniform_scheme(2, 3))
+
+
+def _disk_sum_dtypes(monkeypatch):
+    """Record the `dtype` of every `_disk_sum` call `soft_decode` makes."""
+    seen, disk_sum = [], codec._disk_sum
+
+    def spy(plane, radius, dtype=None):
+        seen.append(dtype)
+        return disk_sum(plane, radius, dtype)
+
+    monkeypatch.setattr(codec, "_disk_sum", spy)
+    return seen
+
+
+class TestDecisiveBits:
+    """`soft_decode` unions disks when one covering disk decides a pixel."""
+
+    T = _logit_floor(0.4)
+
+    def _check(self, stack, **params):
+        """The conservative decode, once both modes equal the oracle."""
+        got = {}
+        for mode in ("conservative", "literal"):
+            got[mode] = soft_decode(stack, mode, threshold=0.4, **params).pixels
+            assert np.array_equal(got[mode], soft_decode_oracle(stack, mode, threshold=0.4, **params).pixels)
+        return got["conservative"]
+
+    def _noisy(self, seed):
+        rng = np.random.default_rng(seed)
+        return corrupt(random_one_hot(rng, make_uniform_scheme(5, 13), min_size=16, max_size=24), 0.05, seed)
+
+    def test_defaults_count_nothing(self, monkeypatch):
+        seen = _disk_sum_dtypes(monkeypatch)
+        soft_decode(self._noisy(1))
+        assert seen and all(d is bool for d in seen)
+        seen.clear()
+        scores = np.random.default_rng(2).random((5, 12, 12))
+        soft_decode(ProbPlaneStack(scores, make_uniform_scheme(5, 13)))
+        assert seen and bool not in seen
+
+    def test_sum_exactly_at_t_star_is_decisive(self, monkeypatch):
+        bias, w = 2 * self.T, -self.T
+        assert bias < self.T and bias + w == self.T
+        seen = _disk_sum_dtypes(monkeypatch)
+        got = self._check(_single_bit_stack(), weight=w, bias=bias)
+        assert np.array_equal(got, PLUS_5X5)
+        assert all(d is bool for d in seen)
+        self._check(self._noisy(3), weight=w, bias=bias)
+
+    def test_one_ulp_short_needs_two_disks(self, monkeypatch):
+        bias, w = 2 * self.T, np.nextafter(-self.T, 0.0)
+        assert bias + w == np.nextafter(self.T, -np.inf)
+        # two conservative radius-1 disks overlap at (2, 3) alone
+        planes = np.zeros((2, 5, 7), dtype=bool)
+        planes[1, 2, [2, 4]] = True
+        stack = BitPlaneStack(planes, QuantizationScheme((0, 2)))
+        seen = _disk_sum_dtypes(monkeypatch)
+        got = self._check(stack, weight=w, bias=bias)
+        assert np.argwhere(got).tolist() == [[2, 3]]
+        assert bool not in seen
+        self._check(self._noisy(4), weight=w, bias=bias)
+
+    def test_one_weight_that_does_not_decide_alone(self):
+        # bin 3 alone sums to -5 + 1 < t*: one bit there paints nothing
+        planes = np.zeros((5, 9, 9), dtype=bool)
+        planes[2, 4, 4] = True
+        planes[0] = ~planes[2]
+        stack = BitPlaneStack(planes, make_uniform_scheme(5, 13))
+        weight = (10.0, 10.0, 1.0, 10.0, 10.0)
+        assert hard_decode(stack).pixels.any()
+        assert not self._check(stack, weight=weight).any()
+        self._check(self._noisy(5), weight=weight)
+
+    @pytest.mark.parametrize("bias", [T, 0.0])
+    def test_bias_at_or_above_t_star_paints_everything(self, bias):
+        assert self._check(_single_bit_stack(), bias=bias).all()
+        assert self._check(self._noisy(6), bias=bias).all()
 
 
 class TestCorrupt:

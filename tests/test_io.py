@@ -491,6 +491,23 @@ class TestCsv:
         )
         assert path.read_bytes() == b"ratio,ok,no,n\n0.1,yes,no,3\n"
 
+    @pytest.mark.parametrize(
+        "header, rows, cell, bad",
+        [
+            (["a", "b"], [["x\ny", "p,q"]], "x\ny", "\n"),
+            (["a", "b"], [[1, "p,q"]], "p,q", ","),
+            (["a", "b"], [[1, 2], ["\r", 3]], "\r", "\r"),
+            (["a,b"], [[1]], "a,b", ","),
+        ],
+        ids=["data-newline", "data-comma", "data-return", "header-comma"],
+    )
+    def test_cell_that_would_split_rejected_before_writing(self, tmp_path, header, rows, cell, bad):
+        # written verbatim, it would read back as extra cells or rows
+        with pytest.raises(ValueError) as err:
+            write_csv(tmp_path / "t.csv", header, rows)
+        assert str(err.value) == f"CSV cell {cell!r} holds {bad!r}, which a cell cannot carry"
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize(
     "read, text",
