@@ -36,6 +36,7 @@ import numpy as np
 from .grid import (
     BinaryMask,
     Box,
+    _Adopted,
     _integer,
     _nearest_pixels,
     _overlap,
@@ -250,7 +251,7 @@ def decode_to_canvas(
     x, y, window = _decode_window(stack, spec, canvas_width, canvas_height, mode)
     canvas = np.zeros((canvas_height, canvas_width), dtype=bool)
     canvas[y : y + window.shape[0], x : x + window.shape[1]] = window
-    return BinaryMask(canvas)
+    return BinaryMask(_Adopted(canvas))
 
 
 def robustness_sweep(

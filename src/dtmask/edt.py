@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grid import BinaryMask, Box, _Raster, _frozen_raster, _integer, _reach, sample_raster
+from .grid import BinaryMask, Box, _Adopted, _Raster, _frozen_raster, _integer, _reach, sample_raster
 
 # Widest band C taken by the separable passes.  Their cost grows with C
 # up to the thickest object's column depth, and the feature transform's
@@ -82,7 +82,7 @@ def boundary_set(mask: BinaryMask) -> BinaryMask:
         & padded[1:-1, :-2]
         & padded[1:-1, 2:]
     )
-    return BinaryMask(~(m & interior4))
+    return BinaryMask(_Adopted(~(m & interior4)))
 
 
 def interior_mask(mask: BinaryMask) -> BinaryMask:
@@ -90,7 +90,7 @@ def interior_mask(mask: BinaryMask) -> BinaryMask:
 
     This is exactly the region a conservative decode reconstructs.
     """
-    return BinaryMask(mask.pixels & ~boundary_set(mask).pixels)
+    return BinaryMask(_Adopted(mask.pixels & ~boundary_set(mask).pixels))
 
 
 def truncated_edt(mask: BinaryMask, radius_cap: int) -> TruncatedDistanceMap:
@@ -115,7 +115,7 @@ def truncated_edt(mask: BinaryMask, radius_cap: int) -> TruncatedDistanceMap:
     # k^2 < s exactly for k < ceil(sqrt(s)), so counting the squares
     # below each s = 0 .. d2.max() gives ceil(sqrt(s)) capped at the band.
     ceil_sqrt = np.searchsorted(np.arange(band) ** 2, np.arange(int(d2.max()) + 1))
-    return TruncatedDistanceMap(np.take(ceil_sqrt.astype(np.int32), d2), radius_cap)
+    return TruncatedDistanceMap(_Adopted(np.take(ceil_sqrt.astype(np.int32), d2)), radius_cap)
 
 
 def _band_squared_distances(q: np.ndarray, band: int) -> np.ndarray:
@@ -159,8 +159,10 @@ def brute_force_edt(mask: BinaryMask, radius_cap: int) -> TruncatedDistanceMap:
     Minimizes the squared center distance over every pixel of Q
     literally, pixel block by pixel block, and applies the integer
     ceiling through `math.isqrt` (ceil(sqrt(s)) = isqrt(s - 1) + 1 for
-    s >= 1).  Quadratic in the worst case; intended for verification,
-    not production use.
+    s >= 1).  The pair arithmetic runs in int32 when both sides are at
+    most 32768, where dy^2 + dx^2 <= 2 * 32767^2 < 2**31, else in int64.
+    Quadratic in the worst case; intended for verification, not
+    production use.
     """
     radius_cap = _radius_cap(radius_cap)
     q = boundary_set(mask).pixels
@@ -168,16 +170,20 @@ def brute_force_edt(mask: BinaryMask, radius_cap: int) -> TruncatedDistanceMap:
     py, px = np.nonzero(~q)
     if py.size == 0:
         return TruncatedDistanceMap(out, radius_cap)
+    pair = np.int32 if max(q.shape) <= 32768 else np.int64
     qy, qx = np.nonzero(q)
-    qy = qy.astype(np.int64)
-    qx = qx.astype(np.int64)
+    qy = qy.astype(pair)
+    qx = qx.astype(pair)
     step = max(1, min(2048, 4_000_000 // qy.size))
     for start in range(0, py.size, step):
-        yy = py[start : start + step].astype(np.int64)
-        xx = px[start : start + step].astype(np.int64)
+        yy = py[start : start + step].astype(pair)
+        xx = px[start : start + step].astype(pair)
         dy = yy[:, None] - qy[None, :]
         dx = xx[:, None] - qx[None, :]
-        d2 = (dy * dy + dx * dx).min(axis=1)
+        dy *= dy
+        dx *= dx
+        dy += dx
+        d2 = dy.min(axis=1)
         vals = [min(math.isqrt(int(s) - 1) + 1, radius_cap) for s in d2]
         out[yy, xx] = vals
     return TruncatedDistanceMap(out, radius_cap)

@@ -19,14 +19,31 @@ import numpy as np
 MAX_LABEL = int(np.iinfo(np.int32).max)
 
 
+class _Adopted:
+    """An array a module has just built and hands to a value type to keep.
+
+    `_frozen_raster` freezes it in place instead of copying it.  Only an
+    array that nothing else holds writable, and that its builder drops,
+    may be wrapped; the public constructors always copy, so a caller's
+    array can never change a value.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _frozen_raster(values, dtype, high=None, name="values", bins=None) -> np.ndarray:
     """Copy `values` into a read-only array of `dtype`: a 2-D raster, or
-    with `bins` set a (bins, height, width) stack of planes.
+    with `bins` set a (bins, height, width) stack of planes.  An
+    `_Adopted` array of `dtype` is frozen in place, without a copy.
 
     With `high` set, values must lie in [0, min(high, max of dtype)],
     checked before the cast so that nothing wraps.
     """
-    arr = np.asarray(values)
+    adopted = isinstance(values, _Adopted)
+    arr = np.asarray(values.array if adopted else values)
     if bins is None:
         if arr.ndim != 2 or 0 in arr.shape:
             raise ValueError("raster must be 2-D with positive height and width")
@@ -40,7 +57,7 @@ def _frozen_raster(values, dtype, high=None, name="values", bins=None) -> np.nda
             raise ValueError(f"{name} must be non-negative")
         if arr.max() > high:
             raise ValueError(f"{name} must not exceed {high}")
-    arr = np.array(arr, dtype=dtype)
+    arr = np.ascontiguousarray(arr, dtype=dtype) if adopted else np.array(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -229,7 +246,7 @@ def extract_instance(label_map: LabelMap, instance_id: int) -> BinaryMask:
     pixels = label_map.labels == instance_id
     if not pixels.any():
         raise ValueError(f"instance id {instance_id} not present in label map")
-    return BinaryMask(pixels)
+    return BinaryMask(_Adopted(pixels))
 
 
 def _nearest_pixels(start: int, length: int, cells: int) -> np.ndarray:

@@ -9,14 +9,23 @@ and \r\n.  Readers never repair bad data: every violation raises
 FormatError, except the documented lax mode of `read_bps` for
 deliberately corrupted stacks.
 
-Every raster reader strips comments once, finding each '#' with
-bytes.find and its end with a one-class regex search, then joining the
-kept slices.  An integer body (PGM, DTM) that holds only ASCII digits
-and whitespace is decoded with numpy: a body of one-digit tokens
-straight from its digit bytes, any other by Horner over each digit run,
-building int64 index arrays only then.  A sign, '_', a letter or a token
-of 19 or more digits (which may not fit int64) takes the token-by-token
-int() path, so the grammar, the values and the error texts are the same.
+Every raster reader reads its file once as bytes.  Each header token
+is found past the whitespace and '#' comments ahead of it, one step per
+comment, so a comment may touch a token, and the comment lines after
+the header are skipped the same way.  Header integers are ASCII decimal digits, [0-9]+,
+read exactly at any length.  Comments are stripped from the body only
+when a '#' occurs in it, each found with bytes.find and ended with a
+one-class regex search, then the kept slices joined; the writers never
+put one there.  A bit body (PBM, BPS) is one bytes.translate of the
+whole file that swaps '0'/'1' with 0x00/0x01 and deletes whitespace,
+read as a read-only bool view of that output past the header: the data
+is copied once, and the value types keep the view.  An integer body
+(PGM, DTM) that holds only ASCII digits and whitespace is decoded with
+numpy: a body of one-digit tokens straight from its digit bytes, any
+other by Horner over each digit run, building int64 index arrays only
+then.  A sign, '_', a letter or a token of 19 or more digits (which may
+not fit int64) takes the token-by-token int() path, so the grammar, the
+values and the error texts are the same.
 
 Formats:
   P1   plain bitmap, "P1", "<w> <h>", rows of 0/1 digits (1 = object)
@@ -34,7 +43,7 @@ import re
 
 import numpy as np
 
-from .grid import MAX_LABEL, BinaryMask, Box, BoxProposal, LabelMap
+from .grid import MAX_LABEL, BinaryMask, Box, BoxProposal, LabelMap, _Adopted
 from .edt import TruncatedDistanceMap
 from .codec import BitPlaneStack, QuantizationScheme
 
@@ -47,6 +56,11 @@ class FormatError(ValueError):
 _SPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _LINE_BREAK = re.compile(rb"[\n\r\x0b\x0c\x1c-\x1e]")
 _TOKEN = re.compile(rb"[^ \t\n\r\x0b\x0c\x1c-\x1f]+")
+_SPACE_RUN = re.compile(rb"[ \t\n\r\x0b\x0c\x1c-\x1f]*")
+# A header token ends at whitespace or at a '#'.
+_HEADER_TOKEN = re.compile(rb"[^ \t\n\r\x0b\x0c\x1c-\x1f#]*")
+# '0' and '1' swapped with 0x00 and 0x01; every other byte kept.
+_BITS = bytes.maketrans(b"01\x00\x01", b"\x00\x0101")
 
 
 def _read_ascii(path) -> bytes:
@@ -80,17 +94,18 @@ def _strip_comments(data: bytes) -> bytes:
 
 class _RasterFile:
     """A raster file read once as bytes: magic, width, height, more header
-    integers one token at a time, then the body from offset `pos`.  Errors
-    name the file and the place of a body token in `shape`."""
+    integers one token at a time, then the body after the comment lines
+    that follow the header.  Errors name the file and the place of a body
+    token in `shape`."""
 
     def __init__(self, path, magic: str):
         self.path = os.fspath(path)
-        self.data = _strip_comments(_read_ascii(path))
-        token = _TOKEN.search(self.data)
-        if token is None or token.group() != magic.encode():
-            got = token.group().decode() if token else "nothing"
+        self.data = _read_ascii(path)
+        self.pos = 0
+        token = self._next_token()
+        if token != magic.encode():
+            got = token.decode() if token else "nothing"
             raise self.error(f"expected magic {magic!r}, got {got!r}")
-        self.pos = token.end()
         self.width = self.read_int("width")
         self.height = self.read_int("height")
         if self.width < 1 or self.height < 1:
@@ -108,35 +123,75 @@ class _RasterFile:
             k = int(np.argmax(bad))
             raise self.error(message.format(values[k]), k)
 
-    def _parse(self, token: bytes, what: str, index=None) -> int:
+    def _parse(self, token: bytes, what: str, index: int) -> int:
         try:
             return int(token)
         except ValueError:
             raise self.error(f"{what} must be an integer, got {token.decode()!r}", index) from None
 
+    def _skip(self) -> int:
+        """The offset of the next byte, from `pos` on, that is neither
+        whitespace nor part of a comment; the length at the end."""
+        data, pos = self.data, self.pos
+        # One step per comment: a regex repeat over comments would keep
+        # backtracking state for every step.
+        while True:
+            pos = _SPACE_RUN.match(data, pos).end()
+            if not data.startswith(b"#", pos):
+                return pos
+            end = _LINE_BREAK.search(data, pos)
+            if end is None:
+                return len(data)
+            pos = end.start()
+
+    def _next_token(self) -> bytes:
+        """The next header token; b"" at the end of the file."""
+        match = _HEADER_TOKEN.match(self.data, self._skip())
+        self.pos = match.end()
+        return match.group()
+
     def read_int(self, what: str) -> int:
-        token = _TOKEN.search(self.data, self.pos)
-        if token is None:
+        token = self._next_token()
+        if not token:
             raise self.error(f"unexpected end of file while reading {what}")
-        self.pos = token.end()
-        return self._parse(token.group(), what)
+        if not token.isdigit():
+            raise self.error(f"{what} must be a decimal integer of ASCII digits, got {token.decode()!r}")
+        # int() converts a bounded number of digits; leading zeros need not count.
+        try:
+            return int(token.lstrip(b"0") or b"0")
+        except ValueError:
+            raise self.error(f"{what} has too many digits to read ({len(token)})") from None
+
+    def _body(self) -> tuple[bytes, int]:
+        """The data and the offset in it where the body starts, past the
+        comment lines after the header; a body holding a '#' is returned
+        on its own, comments stripped."""
+        start = self._skip()
+        if self.data.find(b"#", start) < 0:
+            return self.data, start
+        return _strip_comments(self.data[start:]), 0
 
     def bits(self, shape: tuple[int, ...], what: str) -> np.ndarray:
-        """The body as a bool array of 0/1 digits, whitespace ignored."""
+        """The body as a read-only bool array of 0/1 digits, whitespace
+        ignored: a view of one translate of the data, past the header."""
         self.shape = shape
-        digits = self.data[self.pos :].translate(None, _SPACE)
-        if len(digits) != math.prod(shape):
-            raise self.error(f"expected {math.prod(shape)} {what} digits, found {len(digits)}")
-        arr = np.frombuffer(digits, dtype=np.uint8) - ord("0")
+        data, start = self._body()
+        flat = data.translate(_BITS, _SPACE)
+        skip = len(data[:start].translate(None, _SPACE))
+        if len(flat) - skip != math.prod(shape):
+            raise self.error(f"expected {math.prod(shape)} {what} digits, found {len(flat) - skip}")
+        arr = np.frombuffer(flat, dtype=np.uint8, offset=skip)
         if arr.max() > 1:
             k = int(np.argmax(arr > 1))
-            raise self.error(f"non-binary digit {chr(digits[k])!r} in {what}", k)
+            # _BITS is its own inverse, so it gives back the file's byte.
+            raise self.error(f"non-binary digit {chr(_BITS[arr[k]])!r} in {what}", k)
         return arr.view(bool).reshape(shape)
 
     def ints(self, shape: tuple[int, ...], what: str) -> np.ndarray:
         """The body, flat: int64 from the digit decode, else Python ints."""
         self.shape = shape
-        body = self.data[self.pos :]
+        data, start = self._body()
+        body = data[start:]
         digits = body.translate(None, _SPACE)
         if digits.isdigit():
             values = self._digit_ints(body, digits, what)
@@ -210,7 +265,7 @@ def _write(path, lines, raster=None) -> None:
 
 def read_mask(path) -> BinaryMask:
     f = _RasterFile(path, "P1")
-    return BinaryMask(f.bits((f.height, f.width), "pixel"))
+    return BinaryMask(_Adopted(f.bits((f.height, f.width), "pixel")))
 
 
 def write_mask(path, mask: BinaryMask, comments=()) -> None:
@@ -269,7 +324,7 @@ def read_bps(path, lax: bool = False) -> BitPlaneStack:
         scheme = QuantizationScheme(radii)
     except ValueError as exc:
         raise f.error(str(exc)) from None
-    stack = BitPlaneStack(f.bits((bins, f.height, f.width), "plane"), scheme)
+    stack = BitPlaneStack(_Adopted(f.bits((bins, f.height, f.width), "plane")), scheme)
     if not lax and not stack.is_one_hot():
         y, x = np.argwhere(stack.planes.sum(axis=0) != 1)[0]
         hot = stack.planes[:, y, x].sum()

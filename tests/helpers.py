@@ -323,13 +323,20 @@ def _tokens_oracle(path) -> list[str]:
     return tokens
 
 
-def _int_token_oracle(tokens, pos, what) -> int:
+def _int_token_oracle(tokens, pos, what, body=False) -> int:
+    """Token `pos` as an int: ASCII decimal digits in a header, any int()
+    spelling in a body."""
     if pos >= len(tokens):
         raise FormatError(f"unexpected end of file while reading {what}")
+    token = tokens[pos]
+    if not body:
+        if re.fullmatch("[0-9]+", token) is None:
+            raise FormatError(f"{what} must be a decimal integer of ASCII digits, got {token!r}")
+        return int(token.lstrip("0") or "0")
     try:
-        return int(tokens[pos])
+        return int(token)
     except ValueError:
-        raise FormatError(f"{what} must be an integer, got {tokens[pos]!r}") from None
+        raise FormatError(f"{what} must be an integer, got {token!r}") from None
 
 
 def _header_oracle(path, magic) -> tuple[list[str], int, int]:
@@ -380,7 +387,7 @@ def read_label_map_oracle(path) -> LabelMap:
     if len(body) != w * h:
         raise FormatError(f"expected {w * h} label values, found {len(body)}")
     labels = np.array(
-        [_int_token_oracle(body, k, "label value") for k in range(len(body))], dtype=object
+        [_int_token_oracle(body, k, "label value", body=True) for k in range(len(body))], dtype=object
     )
     if (labels < 0).any():
         raise FormatError("negative label value")
@@ -412,7 +419,7 @@ def read_dtm_oracle(path) -> TruncatedDistanceMap:
         raise FormatError(f"expected {w * h} distance values, found {len(body)}")
     values = np.empty(w * h, dtype=np.int64)
     for k in range(len(body)):
-        values[k] = _int_token_oracle(body, k, "distance value")
+        values[k] = _int_token_oracle(body, k, "distance value", body=True)
     if (values < 0).any() or (values > cap).any():
         bad = int(values[(values < 0) | (values > cap)][0])
         raise FormatError(f"distance value {bad} outside [0, {cap}]")

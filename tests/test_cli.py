@@ -22,11 +22,13 @@ from dtmask import (
     truncated_edt,
     write_label_map,
     write_mask,
+    write_bps,
     write_proposals,
 )
+import dtmask.codec
 from dtmask.cli import _provenance, build_parser, main
 
-from helpers import disk_raster
+from helpers import disk_raster, random_one_hot
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -142,6 +144,44 @@ class TestEncodeDecode:
             "--out", tmp_path / "x.bps",
         )
         assert code == 2
+
+    def test_one_hot_counted_once_per_decode(self, tmp_path, disk_pbm, monkeypatch):
+        # the reader's count is kept on the stack, and hard_decode reads it
+        counts = []
+
+        def counting_one_hot(planes):
+            counts.append(planes.shape)
+            return one_hot(planes)
+
+        one_hot = dtmask.codec._one_hot
+        monkeypatch.setattr(dtmask.codec, "_one_hot", counting_one_hot)
+        bps = tmp_path / "d.bps"
+        assert run("encode", "--in", disk_pbm, "--out", bps) == 0
+        counts.clear()
+        assert run("decode", "--in", bps, "--out", tmp_path / "d.pbm") == 0
+        assert counts == [(5, 32, 32)]
+
+
+class TestCommandMemory:
+    @pytest.mark.parametrize(
+        "command",
+        # measured 20.02 B/px for each: the reader's peak, the file
+        # (10 B/px at K = 5) and its translate's full-size output
+        ["decode", "softdecode"],
+    )
+    def test_peak_per_pixel(self, tmp_path, command):
+        stack = random_one_hot(np.random.default_rng(19), make_uniform_scheme(5, 13), 256, 256)
+        bps = tmp_path / "s.bps"
+        write_bps(bps, stack, ["dtmask encode", "bins=5 radius=13"])
+        assert run(command, "--in", bps, "--out", tmp_path / "warm.pbm") == 0
+        tracemalloc.start()
+        try:
+            code = run(command, "--in", bps, "--out", tmp_path / "out.pbm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak / (256 * 256) < 20.5
 
 
 class TestSoftDecode:

@@ -12,7 +12,7 @@ from dtmask import (
     TruncatedDistanceMap,
     extract_instance,
 )
-from dtmask.grid import MAX_LABEL, sample_raster
+from dtmask.grid import MAX_LABEL, _Adopted, sample_raster
 
 from helpers import (
     canvas_mask_oracle,
@@ -55,6 +55,17 @@ def test_value_types_copy_freeze_and_read_shape_off_the_last_two_axes(name):
         assert src.flags.writeable and not np.shares_memory(arr, src)
         src[...] = 0  # the caller's array changes; the value does not
         assert (arr == 1).all()
+    # a read-only view of a writable array is copied too: only a module
+    # that has just built an array may hand it over, through _Adopted
+    src = np.ones(lead + (2, 3), dtype=dtype)
+    view = src.view()
+    view.setflags(write=False)
+    arr = getattr(make(view), field)
+    src[...] = 0
+    assert (arr == 1).all() and not np.shares_memory(arr, src)
+    built = np.ones(lead + (2, 3), dtype=dtype)
+    arr = getattr(make(_Adopted(built)), field)
+    assert arr is built and not built.flags.writeable
     # 1-D, 4-D, a stack with the wrong plane count, and a zero side
     wrong_planes = (4, 2, 3) if lead else (3, 2, 3)
     for shape, message in (
