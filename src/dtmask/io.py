@@ -251,14 +251,17 @@ def _write(path, lines, raster=None) -> None:
     values: 0/1 digits for a bool raster, decimals otherwise."""
     bits = raster is not None and raster.dtype == bool
     if raster is not None and not bits:
-        lines = [*lines, *(" ".join(map(str, row)) for row in raster.tolist())]
+        lines = [*lines, *(" ".join(map(str, row.tolist())) for row in raster)]
     text = "".join(f"{line}\n" for line in lines).encode("ascii")
     with open(path, "wb") as fh:
         fh.write(text)
         if bits:
-            rows = raster.reshape(-1, raster.shape[-1])
-            buf = np.full((len(rows), 2 * rows.shape[1]), ord(" "), dtype=np.uint8)
-            buf[:, ::2] = rows + np.uint8(ord("0"))
+            # A bit and the space after it are one little-endian uint16,
+            # "0 " or "1 ", built in one pass with no temporary.
+            rows = raster.reshape(-1, raster.shape[-1]).view(np.uint8)
+            pairs = np.empty(rows.shape, "<u2")
+            np.add(rows, np.uint16(ord("0") | ord(" ") << 8), out=pairs)
+            buf = pairs.view(np.uint8)
             buf[:, -1] = ord("\n")
             fh.write(buf)
 

@@ -184,6 +184,30 @@ class TestCommandMemory:
         assert peak / (256 * 256) < 20.5
 
 
+    @pytest.mark.parametrize(
+        "command, budget",
+        [
+            # measured 14.04 B/px: the mask read and the transform's peak;
+            # the writer's text rows stay a B/px or so below
+            ("dt", 14.5),
+            # measured 16.26 B/px: the K = 5 stack and its text buffer
+            ("encode", 16.5),
+        ],
+    )
+    def test_peak_per_pixel_from_a_mask(self, tmp_path, command, budget):
+        mask = tmp_path / "m.pbm"
+        write_mask(mask, BinaryMask(np.ones((256, 256), dtype=bool)))
+        assert run(command, "--in", mask, "--out", tmp_path / "warm") == 0
+        tracemalloc.start()
+        try:
+            code = run(command, "--in", mask, "--out", tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak / (256 * 256) < budget
+
+
 class TestSoftDecode:
     def test_clean_input_matches_hard_decode(self, tmp_path, disk_pbm):
         bps = tmp_path / "d.bps"

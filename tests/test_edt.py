@@ -17,7 +17,7 @@ from dtmask import (
     interior_mask,
     truncated_edt,
 )
-from dtmask.edt import BAND_LIMIT
+from dtmask.edt import BAND_LIMIT, ROW_BLOCK
 from dtmask.grid import _reach
 
 from helpers import crop_raster_oracle, disk_mask, random_mask
@@ -118,6 +118,43 @@ class TestTruncatedEdt:
             tracemalloc.stop()
         assert peak < 2 * 2**20
         assert np.array_equal(d.values, brute_force_edt(m, 2**31 - 1).values)
+
+    def test_memory_per_pixel(self):
+        # measured 12.62 B/px on a box that spans the raster: Q, the
+        # column depths, the int32 output, and one block's lookup
+        m = BinaryMask(np.ones((256, 256), dtype=bool))
+        truncated_edt(m, 13)  # warm up outside the trace
+        tracemalloc.start()
+        try:
+            truncated_edt(m, 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (256 * 256) < 13
+
+    @pytest.mark.parametrize(
+        "pixels, cap",
+        [
+            # the row pass switches from uint8 to uint16 above band^2 = 255,
+            # here on solid blocks deeper than the band
+            (np.ones((40, 44), dtype=bool), 15),
+            (np.ones((40, 44), dtype=bool), 16),
+            # the row blocks, with a deep holed object across each seam
+            *(
+                (np.random.default_rng(h).random((h, 48)) < 0.97, cap)
+                for h in (ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1)
+                for cap in (13, 20)
+            ),
+            # the crop: no non-Q pixel, one, and two far-apart blobs
+            (np.zeros((6, 9), dtype=bool), 5),
+            (np.eye(9, dtype=bool), 5),
+            (np.pad(np.ones((3, 3), dtype=bool), ((5, 9), (20, 2))), 5),
+            (disk_mask(120, 150, 14, 16, 11).pixels | disk_mask(120, 150, 100, 130, 13).pixels, 9),
+        ],
+    )
+    def test_seams_match_oracle(self, pixels, cap):
+        m = BinaryMask(pixels)
+        assert np.array_equal(truncated_edt(m, cap).values, brute_force_edt(m, cap).values)
 
     def test_rejects_bad_cap(self):
         m = BinaryMask(np.ones((2, 2), dtype=bool))
@@ -272,3 +309,15 @@ def test_truncated_edt_equals_brute_force_property(case):
     got, want = truncated_edt(mask, cap), brute_force_edt(mask, cap)
     assert got.radius_cap == want.radius_cap == cap
     assert np.array_equal(got.values, want.values)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(edt_cases(), st.lists(st.integers(0, 40), min_size=4, max_size=4))
+def test_embedding_in_background_embeds_the_map(case, pads):
+    # every pixel outside the mask is in Q, so the box finds the same
+    # object wherever it sits in the frame
+    mask, cap = case
+    top, bottom, left, right = pads
+    framed = BinaryMask(np.pad(mask.pixels, ((top, bottom), (left, right))))
+    want = np.pad(truncated_edt(mask, cap).values, ((top, bottom), (left, right)))
+    assert np.array_equal(truncated_edt(framed, cap).values, want)

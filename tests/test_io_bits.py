@@ -224,3 +224,17 @@ class TestReadInPlace:
             tracemalloc.stop()
         assert np.array_equal(parts(got)[1], parts(value)[1])
         assert peak / (256 * 256) < budget
+
+    def test_write_memory_per_bit(self, tmp_path):
+        # measured 2.003 B/bit at 1200^2, K = 5: the text buffer alone,
+        # with no full-size temporary beside it
+        stack = random_one_hot(np.random.default_rng(13), make_uniform_scheme(5, 13), 1200, 1200)
+        write_bps(tmp_path / "warm.bps", stack, ["c"])
+        tracemalloc.start()
+        try:
+            write_bps(tmp_path / "s.bps", stack, ["c"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(read_bps(tmp_path / "s.bps").planes, stack.planes)
+        assert peak / stack.planes.size < 2.05
