@@ -29,14 +29,17 @@ that need two disks, take the count path.
 
 Every disk is painted by one primitive, `_disk_sum`, which grows a row
 run one column each way per step and adds it to every output row whose
-disk half-width it has reached.  The hard decoders only ask where a disk
-lands, and run it with a bool accumulator, as does the soft decoder
-on decisive bits.  Where it counts bit planes, the corrupted ones
-`corrupt` returns included, it counts in the narrowest integer type
-that holds the largest possible count, int16 for most radii;
-real-valued scores sum in float64.  A count of bits is an integer that
-float64 holds exactly, so the soft decoder gives the same mask for bits
-as for the same 0/1 values held as scores.  A radius-0 disk is the
+disk half-width it has reached; a run that must span a whole row is set
+to the row's total in one pass.  It takes a batch of planes, (B, h, w),
+in the same passes.  The hard decoders only ask where a disk lands, and
+run it with a bool accumulator, as does the soft decoder on decisive
+bits: `_union_of_disks` places each plane into one padded frame and ORs
+it into one padded accumulator.  Where it counts bit planes, the
+corrupted ones `corrupt` returns included, it counts in the narrowest
+integer type that holds the largest possible count, int16 for most
+radii; real-valued scores sum in float64.  A count of bits is an integer
+that float64 holds exactly, so the soft decoder gives the same mask for
+bits as for the same 0/1 values held as scores.  A radius-0 disk is the
 plane itself, cast.  Fractional scores are summed run by run, and each
 add rounds: on a 40 x 300 plane of uniform scores the sum is off by up
 to 4.5e-13 at r = 12, so a decision can differ from an exact sum's only
@@ -190,7 +193,7 @@ def _count_bound(h: int, w: int, radius: int) -> int:
     return min((2 * r + 1) ** 2, h * w)
 
 
-def _disk_sum(plane: np.ndarray, radius: int, dtype=None) -> np.ndarray:
+def _disk_sum(plane: np.ndarray, radius: int, dtype=None, out=None, width=None) -> np.ndarray:
     """Correlation of a plane with the radius-`radius` disk, zero outside.
 
     The disk is the union over dy in [-r, r] of row runs of half-width
@@ -201,7 +204,15 @@ def _disk_sum(plane: np.ndarray, radius: int, dtype=None) -> np.ndarray:
     the disk area.  Radii beyond the raster's reach are clamped to it,
     rows to |dy| <= h - 1 and half-widths to w - 1, where a run already
     spans the whole row, so memory follows the raster, not the radius.
-    The radius-0 disk is one pixel, so its sum is the plane itself, cast.
+    Once a row needs half-width w - 1, the run is that row's total at
+    every column: on the bool and count paths it is set in one pass,
+    `any` or the sum, instead of stepping there, so a thin strip at a
+    huge radius costs O(h * w), not O(h * w^2).  The radius-0 disk is
+    one pixel, so its sum is the plane itself, cast.
+
+    `plane` may carry a leading batch axis, (B, h, w): every entry is
+    summed on its own, in the same passes, so a caller painting many
+    small frames pays numpy's per-call cost once per batch.
 
     `dtype` of None counts a bool plane in the narrowest integer type
     that holds its largest count, `_count_bound`: min((2r + 1)^2, h * w)
@@ -211,43 +222,69 @@ def _disk_sum(plane: np.ndarray, radius: int, dtype=None) -> np.ndarray:
     runs the same loop with a bool accumulator, which numpy adds as
     logical OR, and gives `_disk_sum(plane, radius) > 0`.
 
+    With `out`, a bool accumulator, the union is OR-ed into `out` in
+    place.  `plane` and `out` are then padded frames of one shape,
+    (..., h, w + p): the raster is the first `width` columns, and the
+    last p >= min(r, width - 1) columns of `plane` are zero, so that a
+    shift never carries a pixel into the next row.  A caller painting
+    several planes places each into one such buffer and keeps one
+    accumulator, about 3 bytes per padded cell with the run; the
+    padding columns of `out` end up holding junk, and the union is
+    `out[..., :width]`, which is returned.
+
     A float plane sums in float64, added run by run, and each add
     rounds.  On a 40 x 300 plane of uniform scores the sum differs from
     the exact one by up to 8.9e-16 at r = 1, 1.1e-14 at r = 3 and
     4.5e-13 at r = 12; the error grows with r.  Scores whose partial
     sums float64 holds exactly, such as 0/1 or sixteenths, sum exactly.
+    Float runs always step, so their rounding does not depend on w.
     """
-    h, w = plane.shape
+    h = plane.shape[-2]
+    w = plane.shape[-1] if out is None else width
     r = min(radius, _reach(h, w))
-    if dtype is None and plane.dtype.kind == "f":
+    if out is not None:
+        dtype = bool
+    elif dtype is None and plane.dtype.kind == "f":
         dtype = np.float64
     elif dtype is None:
         bound = _count_bound(h, w, r)
         dtype = np.int16 if bound <= np.iinfo(np.int16).max else np.int32
-    if r == 0:
-        return plane.astype(dtype)
-    # Each row is padded with as many zero columns as the widest run
-    # reaches, so a shift of the flattened raster never carries a pixel
-    # into the next row, and every add is one contiguous pass.
     widest = min(r, w - 1)
-    wide = w + widest
-    padded = np.zeros((h, wide), dtype=plane.dtype)
-    padded[:, :w] = plane
-    src = padded.ravel()
-    run = src.astype(dtype)
-    out = np.zeros(h * wide, dtype=dtype)
+    if out is None:
+        if r == 0:
+            return plane.astype(dtype)
+        # Each row is padded with as many zero columns as the widest run
+        # reaches, so every add is one contiguous pass over the batch.
+        src = np.zeros((*plane.shape[:-1], w + widest), dtype=plane.dtype)
+        src[..., :w] = plane
+        out = np.zeros(src.shape, dtype=dtype)
+    else:
+        src = plane
+    wide = src.shape[-1]
+    flat = src.reshape(-1)
+    run = flat.astype(dtype)
+    runs, acc = run.reshape(-1, h, wide), out.reshape(-1, h, wide)
+    kind = np.dtype(dtype).kind
     k = 0
     # Rows from the farthest in: their half-widths only grow, and the
     # run grows with them.  Output row y takes run rows y + d and y - d.
     for d in range(min(r, h - 1), -1, -1):
-        while k < min(math.isqrt(r * r - d * d), widest):
+        half = min(math.isqrt(r * r - d * d), widest)
+        if kind != "f" and k < half == w - 1:
+            rows = src.reshape(-1, h, wide)
+            if kind == "b":
+                runs[..., :w] = rows.any(axis=2, keepdims=True)
+            else:
+                runs[..., :w] = rows.sum(axis=2, dtype=dtype, keepdims=True)
+            k = half
+        while k < half:
             k += 1
-            run[k:] += src[:-k]
-            run[:-k] += src[k:]
-        out[: (h - d) * wide] += run[d * wide :]
+            run[k:] += flat[:-k]
+            run[:-k] += flat[k:]
+        acc[:, : h - d] += runs[:, d:]
         if d:
-            out[d * wide :] += run[: (h - d) * wide]
-    return out.reshape(h, wide)[:, :w]
+            acc[:, d:] += runs[:, : h - d]
+    return out[..., :w]
 
 
 def _float_at(key: int) -> float:
@@ -301,31 +338,44 @@ def encode(dmap: TruncatedDistanceMap, scheme: QuantizationScheme) -> BitPlaneSt
     """
     if dmap.radius_cap < scheme.radii[-1]:
         raise ValueError(f"distance map is capped at {dmap.radius_cap}, below the largest bin radius {scheme.radii[-1]}")
-    # Plane n first holds v >= r_n, then drops v >= r_{n+1}: the sets
-    # are nested, so XOR leaves r_n <= v < r_{n+1}.  Every value is
-    # >= r_1 = 0.  Radii past int32 exceed every stored value: they are
-    # skipped, never compared, and their planes stay empty.
-    planes = np.zeros((scheme.bins, *dmap.values.shape), dtype=bool)
+    return BitPlaneStack(_Adopted(_bin_planes(dmap.values, scheme.radii[1:])), scheme)
+
+
+def _bin_planes(values: np.ndarray, thresholds) -> np.ndarray:
+    """One-hot planes of non-negative int32 `values` by increasing
+    thresholds t_1 < ... < t_m: plane n holds t_n <= v < t_{n+1}, plane
+    0 every v < t_1, so there are m + 1 planes of `values`' shape.
+
+    Plane n first holds v >= t_n, then drops v >= t_{n+1}: the sets are
+    nested, so XOR leaves the bin.  Thresholds past int32 exceed every
+    value: they are skipped, never compared, and their planes stay empty.
+    """
+    planes = np.zeros((len(thresholds) + 1, *values.shape), dtype=bool)
     planes[0] = True
-    for n, r in enumerate(scheme.radii[1:], start=1):
-        if r > np.iinfo(np.int32).max:
+    for n, t in enumerate(thresholds, start=1):
+        if t > np.iinfo(np.int32).max:
             break
-        np.greater_equal(dmap.values, r, out=planes[n])
+        np.greater_equal(values, t, out=planes[n])
         planes[n - 1] ^= planes[n]
-    return BitPlaneStack(_Adopted(planes), scheme)
+    return planes
 
 
 def _union_of_disks(planes: np.ndarray, painted: list[int | None]) -> np.ndarray:
     """Pixels within `painted[n]` of a set bit of plane n, for any n.
 
-    A bin whose painted radius is None paints nothing.
+    A bin whose painted radius is None paints nothing.  Every plane is
+    placed into one padded frame and OR-ed into one padded accumulator
+    (`_disk_sum` with `out`).
     """
-    out = np.zeros(planes.shape[1:], dtype=bool)
-    for plane, radius in zip(planes, painted):
-        if radius is None or not plane.any():
-            continue
-        out |= _disk_sum(plane, radius, bool)
-    return out
+    h, w = planes.shape[1:]
+    paint = [(plane, r) for plane, r in zip(planes, painted) if r is not None and plane.any()]
+    pad = min(max((r for _, r in paint), default=0), w - 1)
+    frame = np.zeros((h, w + pad), dtype=bool)
+    out = np.zeros_like(frame)
+    for plane, radius in paint:
+        frame[:, :w] = plane
+        _disk_sum(frame, radius, bool, out=out, width=w)
+    return out[:, :w]
 
 
 def hard_decode(stack: BitPlaneStack, mode: str = "conservative") -> BinaryMask:

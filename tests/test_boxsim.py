@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -634,6 +635,103 @@ class TestRobustnessSweep:
     def test_record_range_validated(self):
         with pytest.raises(ValueError):
             RobustnessRecord(0, 0, 1.0, 1.0, 1.2, 0.5)
+
+
+def _oracle_records(mask, base, perts, scheme, norm, mode):
+    """Per-window reference records: the oracle encode and decode of each
+    window, a full-canvas box mask and full-canvas `mask_iou`."""
+    h, w = mask.pixels.shape
+    target = interior_mask(mask)
+    records = []
+    for pert in perts:
+        box = perturb_box(base, pert)
+        spec = WindowSpec(box, *(norm or (box.width, box.height)))
+        beyond = decode_to_canvas_oracle(encode_window_oracle(mask, spec, scheme), spec, w, h, mode)
+        inside = BinaryMask(beyond.pixels & rasterize_box(box, w, h).pixels)
+        records.append(
+            RobustnessRecord(pert.dx, pert.dy, pert.sx, pert.sy, mask_iou(beyond, target), mask_iou(inside, target))
+        )
+    return records
+
+
+@st.composite
+def sweep_cases(draw):
+    """A mask, a base box that may hang off any side, windows native,
+    downsampled or upsampled (cells sharing pixels), one to three
+    shrinks (groups) of up to five shifts each, some far off the canvas,
+    and a chunk from one window to many."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = random_mask(rng, min_size=6, max_size=22)
+    h, w = mask.pixels.shape
+    x0, y0 = draw(st.integers(-6, w - 3)), draw(st.integers(-6, h - 3))
+    base = Box(x0, y0, x0 + draw(st.integers(6, w + 8)), y0 + draw(st.integers(6, h + 8)))
+    norm = draw(st.sampled_from([None, (28, 28), (5, 9), (64, 40)]))
+    shrinks = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=3, unique=True))
+    reach = max(w, h) + 12
+    shift = st.integers(-4, 4) | st.integers(-reach, reach)
+    perts = [
+        Perturbation(dx=dx, dy=dy, sx=scale.sx, sy=scale.sy)
+        for scale in (shrink_perturbation(base, p) for p in shrinks)
+        for dx, dy in draw(st.lists(st.tuples(shift, shift), min_size=1, max_size=5))
+    ]
+    scheme = make_uniform_scheme(5, 13) if draw(st.booleans()) else random_scheme(rng)
+    mode = draw(st.sampled_from(["conservative", "literal"]))
+    chunk_cells = draw(st.sampled_from([1, 1500, 4000, 12000, 1 << 18]))
+    return mask, base, perts, scheme, norm, mode, chunk_cells
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sweep_cases())
+def test_sweep_equals_per_window_oracle_property(case):
+    mask, base, perts, scheme, norm, mode, chunk_cells = case
+    with mock.patch.object(dtmask.boxsim, "_CHUNK_CELLS", chunk_cells):
+        records = robustness_sweep(mask, base, perts, scheme, norm, mode)
+    assert records == _oracle_records(mask, base, perts, scheme, norm, mode)
+
+
+@pytest.mark.parametrize("count, batches", [(2, [2]), (3, [3]), (4, [3, 1])])
+def test_windows_of_one_group_paint_a_chunk_at_a_time(monkeypatch, count, batches):
+    # 20 x 20 native boxes inside a 60 x 60 canvas pad by r_K - 1 = 9:
+    # 38 x 38 frames with 9 zero columns, and a chunk of three of them
+    mask = disk_mask(60, 60, 30, 30, 12)
+    base = Box(20, 20, 40, 40)
+    monkeypatch.setattr(dtmask.boxsim, "_CHUNK_CELLS", 3 * 38 * 47)
+    seen, paint = [], dtmask.boxsim._paint_windows
+
+    def counting_paint(entries, *args):
+        seen.append(len(entries))
+        return paint(entries, *args)
+
+    monkeypatch.setattr(dtmask.boxsim, "_paint_windows", counting_paint)
+    perts = [Perturbation(dx=dx, dy=-dx) for dx in (-3, 0, 3, 6)[:count]]
+    scheme = make_uniform_scheme(5, 13)
+    records = robustness_sweep(mask, base, perts, scheme)
+    assert seen == batches
+    assert records == _oracle_records(mask, base, perts, scheme, None, "conservative")
+
+
+def test_native_sweep_memory_per_window_cell():
+    # a box the size of the benchmark's large instance on a 512^2 scene,
+    # transform and interior included: 5.73 B per window cell before
+    # windows were painted a chunk at a time, 4.56 B after
+    mask = disk_mask(512, 512, 256, 256, 88)
+    base = tight_box(mask)
+    perts = [
+        Perturbation(dx=dx, dy=dy, sx=scale.sx, sy=scale.sy)
+        for scale in (shrink_perturbation(base, p) for p in (0, 4))
+        for dx in (-4, 0, 4)
+        for dy in (-4, 0, 4)
+    ]
+    cells = sum(perturb_box(base, pert).box_area for pert in perts)
+    want = robustness_sweep(mask, base, perts)
+    tracemalloc.start()
+    try:
+        got = robustness_sweep(mask, base, perts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak / cells < 5.5
 
 
 def test_clipping_matches_manual_intersection():

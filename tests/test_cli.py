@@ -1,6 +1,8 @@
 import argparse
+import os
 import shutil
 import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -268,6 +270,29 @@ class TestSoftDecode:
         for command in ("decode", "softdecode"):
             out = tmp_path / f"{command}.pbm"
             assert run(command, "--in", bps, "--out", out) == 0
+            assert read_mask(out).pixels.all()
+
+    def test_strip_at_a_huge_radius_paints_each_row_in_one_pass(self, tmp_path):
+        # a row that needs half-width w - 1 takes its total at once; the
+        # one-column steps took 4.3-5.3 s per command on this 1 x 200000
+        # strip on a 2-vCPU host, against 0.6 s now, process start included
+        width = 200000
+        far = np.zeros(width, dtype=np.uint8)
+        far[0] = 1
+        rows = [" ".join(map(str, 1 - far)), " ".join(map(str, far))]
+        bps = tmp_path / "strip.bps"
+        bps.write_text(f"BPS {width} 1 2 0 1000000\n" + "\n".join(rows) + "\n")
+        outs = [tmp_path / f"{command}.pbm" for command in ("decode", "softdecode")]
+        script = (
+            "import sys; from dtmask.cli import main; "
+            f"sys.exit(main(['decode', '--in', {str(bps)!r}, '--out', {str(outs[0])!r}]) "
+            f"or main(['softdecode', '--in', {str(bps)!r}, '--out', {str(outs[1])!r}]))"
+        )
+        src = str(Path(dtmask.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        for out in outs:
             assert read_mask(out).pixels.all()
 
     def test_bad_threshold(self, tmp_path, disk_pbm):

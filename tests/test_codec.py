@@ -519,9 +519,9 @@ def _disk_sum_dtypes(monkeypatch):
     """Record the `dtype` of every `_disk_sum` call `soft_decode` makes."""
     seen, disk_sum = [], codec._disk_sum
 
-    def spy(plane, radius, dtype=None):
+    def spy(plane, radius, dtype=None, **padded):
         seen.append(dtype)
-        return disk_sum(plane, radius, dtype)
+        return disk_sum(plane, radius, dtype, **padded)
 
     monkeypatch.setattr(codec, "_disk_sum", spy)
     return seen
@@ -802,6 +802,46 @@ def test_disk_sum_equals_oracle_property(case):
     union = _disk_sum(plane, radius, bool)
     assert union.dtype == bool
     assert np.array_equal(union, want > 0)
+
+
+@st.composite
+def disk_sum_batches(draw):
+    """A (B, h, w) bool stack, thin strips included, and a radius from 0
+    to past its reach."""
+    h, w = draw(
+        st.tuples(st.integers(1, 10), st.integers(1, 10))
+        | st.tuples(st.just(1), st.integers(1, 120))
+        | st.tuples(st.integers(1, 120), st.just(1))
+    )
+    planes = draw(hnp.arrays(bool, (draw(st.integers(1, 4)), h, w)))
+    reach = _reach(h, w)
+    return planes, draw(st.integers(0, reach + 2) | st.sampled_from([reach, 10**6]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(disk_sum_batches())
+def test_disk_sum_of_a_batch_equals_the_per_entry_sums_property(case):
+    # the count, float and bool paths on a stack, and the bool path
+    # OR-ed into a padded accumulator that already holds bits
+    planes, radius = case
+    _, h, w = planes.shape
+    for dtype in (None, bool):
+        got = _disk_sum(planes, radius, dtype)
+        for entry, plane in zip(got, planes):
+            want = _disk_sum(plane, radius, dtype)
+            assert entry.dtype == want.dtype
+            assert np.array_equal(entry, want)
+    scores = planes / 2.0
+    assert np.array_equal(_disk_sum(scores, radius), np.stack([_disk_sum(p, radius) for p in scores]))
+    pad = min(radius, w - 1) + 1
+    frame = np.zeros((len(planes), h, w + pad), dtype=bool)
+    frame[..., :w] = planes
+    held = np.random.default_rng(h * w).random(frame.shape) < 0.1
+    out = held.copy()
+    union = _disk_sum(frame, radius, bool, out=out, width=w)
+    want = held[..., :w] | np.stack([_disk_sum(p, radius, bool) for p in planes])
+    assert np.array_equal(union, want)
+    assert np.array_equal(out[..., :w], want)
 
 
 @st.composite
